@@ -13,7 +13,11 @@ experiments are reproducible.
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
+from bisect import bisect_right
+from collections import OrderedDict
 from typing import Protocol as TypingProtocol
 
 from repro.errors import ConfigurationError
@@ -97,6 +101,25 @@ class GilbertElliottLoss:
         return self._rng.random() < rate
 
 
+#: Checkpoints of first walks, most recently used last: walk start
+#: ``(mean_good_s, mean_bad_s, until, bad, rng state)`` ->
+#: ``(valid_from, until, bad, rng state)`` after the walk. About
+#: 5 KiB an entry.
+_WALK_CHECKPOINTS: OrderedDict = OrderedDict()
+_WALK_CHECKPOINT_LIMIT = 64
+
+
+def _packed_state(rng: random.Random) -> tuple:
+    """``rng.getstate()`` with its 625 state words packed as bytes."""
+    version, words, gauss_next = rng.getstate()
+    return version, array("I", words).tobytes(), gauss_next
+
+
+def _unpacked_state(packed: tuple) -> tuple:
+    version, words, gauss_next = packed
+    return version, tuple(array("I", words)), gauss_next
+
+
 class TimedGilbertElliottLoss:
     """Gilbert-Elliott channel whose states live in continuous *time*.
 
@@ -106,6 +129,15 @@ class TimedGilbertElliottLoss:
     (exponential with means ``mean_good_s`` / ``mean_bad_s``) rather
     than per-packet transition probabilities reproduces exactly that
     rate dependence (paper Sec. 3.2).
+
+    The chain starts in Good at t=0, so the first packet of a unit at
+    a late campaign epoch walks it through millions of sojourns. That
+    first walk is memoised process-wide (:data:`_WALK_CHECKPOINTS`):
+    a chain whose walk starts from the same means, state and
+    ``random.Random`` state (the down and up units of one epoch build
+    such twins) resumes from the checkpoint instead. Both paths make
+    the same draws in the same order, so verdicts, chain state and
+    the rng state stay bit-identical to walking draw by draw.
     """
 
     def __init__(self, mean_good_s: float, mean_bad_s: float,
@@ -123,6 +155,9 @@ class TimedGilbertElliottLoss:
         self._rng = rng or random.Random(0)
         self._in_bad_state = False
         self._state_until = self._rng.expovariate(1.0 / mean_good_s)
+        # A subclass may override random(), which the checkpoint's
+        # rng state does not capture.
+        self._memoise_walk = type(self._rng) is random.Random
 
     @property
     def in_bad_state(self) -> bool:
@@ -133,15 +168,65 @@ class TimedGilbertElliottLoss:
         """Long-run fraction of time spent in the Bad state."""
         return self.mean_bad_s / (self.mean_good_s + self.mean_bad_s)
 
-    def _advance(self, now: float) -> None:
-        while now >= self._state_until:
-            self._in_bad_state = not self._in_bad_state
-            mean = (self.mean_bad_s if self._in_bad_state
-                    else self.mean_good_s)
-            self._state_until += self._rng.expovariate(1.0 / mean)
+    def _walk(self, now: float) -> float:
+        """Advance the chain past ``now``; return ``_state_until`` as
+        it was before the last draw.
+
+        Each draw is ``random.expovariate(1.0 / mean)`` inlined. That
+        adds ``-log(1.0 - r) / lam`` to ``until``; subtracting
+        ``log(1.0 - r) / lam`` gives the same float, because IEEE 754
+        negation is exact and rounding is symmetric in sign.
+        """
+        rnd = self._rng.random
+        log = math.log
+        lam_good = 1.0 / self.mean_good_s
+        lam_bad = 1.0 / self.mean_bad_s
+        until = last = self._state_until
+        bad = self._in_bad_state
+        if bad and now >= until:
+            until -= log(1.0 - rnd()) / lam_good
+            bad = False
+        # In Good until ``until``: a Bad sojourn, then a Good one.
+        while now >= until:
+            mid = until - log(1.0 - rnd()) / lam_bad
+            if not now >= mid:
+                last, until, bad = until, mid, True
+                break
+            last = mid
+            until = mid - log(1.0 - rnd()) / lam_good
+        self._state_until = until
+        self._in_bad_state = bad
+        return last
+
+    def _walk_from_checkpoint(self, now: float) -> None:
+        rng = self._rng
+        key = (self.mean_good_s, self.mean_bad_s, self._state_until,
+               self._in_bad_state, _packed_state(rng))
+        hit = _WALK_CHECKPOINTS.get(key)
+        if hit is not None and now >= hit[0]:
+            # Any walk from ``key`` to ``now >= valid_from`` makes
+            # every draw up to the checkpoint.
+            _WALK_CHECKPOINTS.move_to_end(key)
+            _, self._state_until, self._in_bad_state, state = hit
+            rng.setstate(_unpacked_state(state))
+            self._walk(now)
+            return
+        valid_from = self._walk(now)
+        _WALK_CHECKPOINTS[key] = (valid_from, self._state_until,
+                                  self._in_bad_state, _packed_state(rng))
+        _WALK_CHECKPOINTS.move_to_end(key)
+        if len(_WALK_CHECKPOINTS) > _WALK_CHECKPOINT_LIMIT:
+            _WALK_CHECKPOINTS.popitem(last=False)
 
     def is_lost(self, now: float) -> bool:
-        self._advance(now)
+        if now >= self._state_until:
+            if self._memoise_walk:
+                # Only the first walk is long; later ones start from
+                # states that per-packet loss draws have moved.
+                self._memoise_walk = False
+                self._walk_from_checkpoint(now)
+            else:
+                self._walk(now)
         rate = self.loss_bad if self._in_bad_state else self.loss_good
         if rate <= 0.0:
             return False
@@ -164,6 +249,16 @@ class OutageSchedule:
                 raise ConfigurationError(
                     f"outage duration must be >= 0, got {duration}")
         self.outages = sorted(outages)
+        self._starts = [start for start, _ in self.outages]
+        # _reach[i]: the latest end among the first i+1 windows, so an
+        # early long window still covers a later short one's tail.
+        self._reach = []
+        reach = -math.inf
+        for start, duration in self.outages:
+            end = start + duration
+            if end > reach:
+                reach = end
+            self._reach.append(reach)
 
     @classmethod
     def poisson(cls, horizon: float, rate_per_hour: float,
@@ -184,12 +279,8 @@ class OutageSchedule:
 
     def in_outage(self, now: float) -> bool:
         """Whether ``now`` falls inside any scheduled outage."""
-        for start, duration in self.outages:
-            if start > now:
-                return False
-            if now < start + duration:
-                return True
-        return False
+        begun = bisect_right(self._starts, now)
+        return begun > 0 and now < self._reach[begun - 1]
 
     def is_lost(self, now: float) -> bool:
         return self.in_outage(now)
@@ -222,5 +313,8 @@ class CompositeLoss:
     def is_lost(self, now: float) -> bool:
         # Evaluate all models so stateful ones (Gilbert-Elliott)
         # advance their chains regardless of earlier verdicts.
-        verdicts = [model.is_lost(now) for model in self.models]
-        return any(verdicts)
+        lost = False
+        for model in self.models:
+            if model.is_lost(now):
+                lost = True
+        return lost

@@ -121,3 +121,60 @@ def test_property_ge_stationary_formula(p_gb, p_bg):
     rate = model.stationary_loss_rate()
     assert 0.0 <= rate <= 1.0
     assert rate == pytest.approx(p_gb / (p_gb + p_bg))
+
+
+def _scan_in_outage(outages, now):
+    """The linear scan ``OutageSchedule.in_outage`` replaced."""
+    for start, duration in sorted(outages):
+        if start > now:
+            return False
+        if now < start + duration:
+            return True
+    return False
+
+
+def test_outage_schedule_long_window_covers_later_short_one():
+    """An early long window still covers times after a later short
+    window that starts inside it has ended."""
+    schedule = OutageSchedule([(10.0, 20.0), (12.0, 1.0)])
+    assert schedule.is_lost(13.5)
+    assert schedule.is_lost(29.9)
+    assert not schedule.is_lost(30.0)
+
+
+def test_outage_schedule_window_boundaries():
+    schedule = OutageSchedule([(5.0, 0.0), (7.0, 1.0)])
+    assert not schedule.is_lost(5.0)      # zero-length window
+    assert schedule.is_lost(7.0)          # start == now
+    assert not schedule.is_lost(8.0)
+    assert not OutageSchedule([]).is_lost(0.0)
+
+
+@settings(max_examples=200)
+@given(outages=st.lists(st.tuples(st.floats(0.0, 100.0),
+                                  st.floats(0.0, 30.0)), max_size=12),
+       times=st.lists(st.floats(-1.0, 140.0), max_size=20))
+def test_property_outage_lookup_matches_linear_scan(outages, times):
+    schedule = OutageSchedule(outages)
+    probes = times + [start for start, _ in outages] + [
+        start + duration for start, duration in outages]
+    for now in probes:
+        assert schedule.in_outage(now) == _scan_in_outage(outages, now)
+
+
+def test_composite_calls_every_model_in_order():
+    calls = []
+
+    class Recorder:
+        def __init__(self, name, verdict):
+            self.name, self.verdict = name, verdict
+
+        def is_lost(self, now):
+            calls.append((self.name, now))
+            return self.verdict
+
+    composite = CompositeLoss([Recorder("a", True), Recorder("b", False),
+                               Recorder("c", True)])
+    assert composite.is_lost(1.5) is True
+    assert calls == [("a", 1.5), ("b", 1.5), ("c", 1.5)]
+    assert CompositeLoss([Recorder("d", False)]).is_lost(2.0) is False
