@@ -42,11 +42,12 @@ counterpoint the streaming path exists to avoid.
 
 The ``fleet_scaling`` section times per-terminal slot compute for
 the vectorized :class:`~repro.leo.fleet.FleetScheduler` against T
-independent scalar schedulers at fleet sizes 1/4/16/64, compares
-every snapshot pair for exact equality, and gates on the vectorized
-path being at least 5x faster per terminal-slot at the largest size
-— with zero mismatches, so the speedup is only ever reported over
-verified bit-identical output.
+independent one-terminal schedulers running the full
+``visible_from`` scan (``prefilter=False``) at fleet sizes
+1/4/16/64, compares every snapshot pair for exact equality, and
+gates on the vectorized path being at least 5x faster per
+terminal-slot at the largest size — with zero mismatches, so the
+speedup is only ever reported over verified bit-identical output.
 
 Not a pytest module on purpose — run it directly::
 
@@ -84,7 +85,7 @@ from repro.leo.fleet import (
     fleet_seeds,
 )
 from repro.leo.ground import STARLINK_GATEWAYS
-from repro.leo.scheduling import SLOT_DURATION, SatelliteScheduler
+from repro.leo.scheduling import SLOT_DURATION
 from repro.testing.digest import digest_dataset
 from repro.transport.cc import CC_KINDS
 from repro.transport.tcp import TcpConfig
@@ -497,7 +498,7 @@ def longitudinal() -> dict:
 
 
 #: Fleet-scaling axes: the vectorized FleetScheduler against T
-#: independent scalar schedulers, per terminal count.
+#: independent full-scan one-terminal schedulers, per terminal count.
 FLEET_SIZES = (1, 4, 16, 64)
 FLEET_GATE_SPEEDUP = 5.0
 
@@ -505,20 +506,23 @@ FLEET_GATE_SPEEDUP = 5.0
 def fleet_scaling_cell(terminals: int, n_slots: int) -> dict:
     """Scalar-vs-fleet slot compute for one fleet size.
 
-    The scalar baseline is T fully independent schedulers, each with
-    its own constellation — exactly what a naive fleet campaign would
-    instantiate. Every snapshot pair is compared for exact dataclass
-    equality, so the speedup is only reported over verified
-    bit-identical output.
+    The scalar baseline is T fully independent one-terminal
+    schedulers, each with its own constellation and the full
+    ``visible_from`` scan (``prefilter=False``) — exactly what a
+    naive fleet campaign would instantiate. Every snapshot pair is
+    compared for exact dataclass equality, so the speedup is only
+    reported over verified bit-identical output.
     """
     spec = FleetSpec(terminals=terminals, seed=0)
     uts = build_fleet_terminals(spec)
     seeds = fleet_seeds(0, terminals)
-    scalars = [SatelliteScheduler(Constellation(), uts[i],
-                                  STARLINK_GATEWAYS, seed=seeds[i])
+    scalars = [FleetScheduler(Constellation(), [uts[i]],
+                              STARLINK_GATEWAYS, seeds=[seeds[i]],
+                              prefilter=False)
                for i in range(terminals)]
     began = time.perf_counter()
-    expected = [[s.snapshot(slot * SLOT_DURATION) for s in scalars]
+    expected = [[s.snapshot_at(0, slot * SLOT_DURATION)
+                 for s in scalars]
                 for slot in range(n_slots)]
     scalar_s = time.perf_counter() - began
 

@@ -3,14 +3,13 @@
 
 Two gates protect the vectorized fleet layer:
 
-1. **T=1 bit-identity, digest-pinned.** A single-terminal
-   :class:`FleetScheduler` walked over 400 slots (with a satellite
-   outage and a gateway outage in the middle) must produce exactly
-   the snapshot sequence of a scalar ``SatelliteScheduler`` with the
-   same seed — and both must match the digest pinned below. The pin
-   catches silent drift in *either* path: the vectorized kernels and
-   the scalar reference cannot move, even together, without a
-   deliberate re-record.
+1. **T=1 digest pin.** A one-terminal ``SatelliteScheduler`` and
+   row 0 of a T=1 :class:`FleetScheduler`, each walked over 400
+   slots (with a satellite outage and a gateway outage in the
+   middle), must both match the digest pinned below, which was
+   recorded from the scalar scheduler the one-row fleet replaced.
+   Selection semantics cannot move through either entry point
+   without a deliberate re-record.
 
 2. **T=16 fleet campaign determinism.** A 16-terminal fleet campaign
    run twice serially must be digest-identical, and a sharded run
@@ -43,9 +42,9 @@ from repro.testing.digest import digest_value
 
 #: Snapshot-sequence digest for gate 1 (seed 0, 400 slots, satellite
 #: 700 out over slots [40, 80), gateway ``gw-ghlin`` out over
-#: [120, 160)). Recorded from the *scalar* scheduler; the fleet path
-#: must reproduce it bit for bit. Re-record only for a deliberate,
-#: explained change to selection semantics.
+#: [120, 160)). Recorded from the scalar scheduler that preceded the
+#: one-row fleet. Re-record only for a deliberate, explained change
+#: to selection semantics.
 T1_PINNED = (
     "ca73fa596d9c2d9849942eae4554cb97"
     "f7b8aea12efd63074101fd503da396bc"
@@ -75,12 +74,9 @@ def t1_digests() -> tuple[str, str]:
                            seeds=seeds)
     scalar = SatelliteScheduler(Constellation(), uts[0],
                                 STARLINK_GATEWAYS, seed=seeds[0])
-    for sched_add, gw_add in ((fleet.add_outage,
-                               fleet.add_gateway_outage),
-                              (scalar.add_outage,
-                               scalar.add_gateway_outage)):
-        sched_add(*SAT_OUT)
-        gw_add(*GW_OUT)
+    for sched in (fleet, scalar):
+        sched.add_outage(*SAT_OUT)
+        sched.add_gateway_outage(*GW_OUT)
     return (walk(lambda t: fleet.snapshot_at(0, t)),
             walk(scalar.snapshot))
 
@@ -96,20 +92,15 @@ def fleet_campaign_config():
 def main() -> int:
     failures: list[str] = []
 
-    # Gate 1: T=1 fleet == scalar == pinned digest over 400 slots.
-    fleet_digest, scalar_digest = t1_digests()
-    print(f"t1 fleet:  digest {fleet_digest[:16]}...")
-    print(f"t1 scalar: digest {scalar_digest[:16]}...")
-    if fleet_digest != scalar_digest:
-        failures.append(
-            f"T=1: fleet snapshots ({fleet_digest}) diverged from "
-            f"the scalar scheduler ({scalar_digest}) — the "
-            "vectorized path lost bit-identity")
-    if scalar_digest != T1_PINNED:
-        failures.append(
-            f"T=1: scalar snapshot digest {scalar_digest} does not "
-            f"match the pin {T1_PINNED} — selection semantics moved "
-            "without a re-record")
+    # Gate 1: both T=1 entry points match the pin over 400 slots.
+    for name, digest in zip(("fleet row 0", "one-terminal"),
+                            t1_digests()):
+        print(f"t1 {name}: digest {digest[:16]}...")
+        if digest != T1_PINNED:
+            failures.append(
+                f"T=1: {name} snapshot digest {digest} does not "
+                f"match the pin {T1_PINNED} — selection semantics "
+                "moved without a re-record")
 
     # Gate 2: T=16 campaign — rerun-stable and shard-invariant.
     first = Campaign(fleet_campaign_config()).run_fleet()
@@ -136,7 +127,7 @@ def main() -> int:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print("fleet-smoke: OK — T=1 pinned bit-identity over "
+    print("fleet-smoke: OK — T=1 pinned digest over "
           f"{N_SLOTS} slots, T=16 campaign deterministic and "
           "shard-invariant")
     return 0

@@ -38,8 +38,7 @@ from repro.core.datasets import (
     StreamingPingDataset,
     VisitSample,
 )
-from repro.disrupt.apply import apply_to_access, apply_to_scheduler
-from repro.disrupt.scenarios import build_scenario, scenario_names
+from repro.disrupt.scenarios import scenario_names
 from repro.errors import ConfigurationError
 from repro.exec.journal import Journal
 from repro.exec.resources import RESOURCE_POLICIES, ResourceBudget
@@ -60,6 +59,7 @@ from repro.exec.units import (
     StreamingPingUnit,
     WebRoundUnit,
     WorkUnit,
+    context_for,
 )
 from repro.core.availability import (
     AvailabilityReport,
@@ -67,14 +67,8 @@ from repro.core.availability import (
     analyze_availability,
     analyze_mobility,
 )
-from repro.leo.access import StarlinkAccess, StarlinkPathModel
-from repro.leo.constellation import Constellation
-from repro.leo.events import CampaignTimeline, date_to_t
-from repro.leo.mobility import (
-    OBSTRUCTION_KINDS,
-    TRAJECTORY_KINDS,
-    build_mobility,
-)
+from repro.leo.events import date_to_t
+from repro.leo.mobility import OBSTRUCTION_KINDS, TRAJECTORY_KINDS
 from repro.rng import make_rng
 from repro.transport.cc import CC_KINDS
 from repro.units import days, mb, minutes
@@ -279,22 +273,16 @@ class Campaign:
     config: CampaignConfig = field(default_factory=CampaignConfig)
 
     def __post_init__(self) -> None:
-        self.timeline = CampaignTimeline()
-        self.constellation = Constellation()
-        #: Seeded mobility state; (None, None) for the default
-        #: stationary/no-obstruction config, keeping the scheduler on
-        #: its classic fixed-terminal fast path byte for byte.
-        self.trajectory, self.obstruction = build_mobility(self.config)
-        self.path_model = StarlinkPathModel(
-            constellation=self.constellation, timeline=self.timeline,
-            seed=self.config.seed, trajectory=self.trajectory,
-            obstruction=self.obstruction)
-        #: Materialised adverse-conditions scenario; clear_sky builds
-        #: an empty schedule and the applications below are no-ops.
-        self.scenario = build_scenario(self.config.scenario,
-                                       self.config)
-        apply_to_scheduler(self.path_model.scheduler,
-                           self.scenario.campaign)
+        # The process's shared model state for this config: serial
+        # work units run on these same objects, so each scheduler
+        # slot is computed once per process. Clear_sky materialises an
+        # empty scenario, and the default mobility knobs keep the
+        # scheduler on its fixed-terminal path.
+        context = context_for(self.config)
+        self.timeline = context.timeline
+        self.constellation = context.constellation
+        self.path_model = context.path_model
+        self.scenario = context.scenario
         #: Per-dataset crash-safety bookkeeping from the latest runs;
         #: summarised by :meth:`degradation_report`.
         self._dataset_failures: dict[str, list[UnitFailure]] = {}
@@ -311,17 +299,6 @@ class Campaign:
         rng = make_rng((self.config.seed, "epochs", label))
         return sorted(start + rng.random() * (end - start)
                       for _ in range(n))
-
-    def _starlink_access(self, epoch: float, run_seed: int
-                         ) -> StarlinkAccess:
-        access = StarlinkAccess(seed=run_seed, epoch_t=epoch,
-                                timeline=self.timeline,
-                                constellation=self.constellation,
-                                trajectory=self.trajectory,
-                                obstruction=self.obstruction)
-        apply_to_access(access,
-                        self.scenario.experiment_schedule(epoch))
-        return access
 
     # -- work-unit decomposition -------------------------------------------
 
@@ -641,10 +618,11 @@ class Campaign:
             availability = analyze_availability(
                 data, scenario=self.config.scenario)
         window = self.mobility_window_s()
-        events = self.path_model.scheduler.handover_events(0.0, window)
+        scheduler = self.path_model.scheduler
+        events = scheduler.handover_events(0.0, window)
         obstruction_windows = (
-            self.obstruction.obstructed_windows(0.0, window)
-            if self.obstruction is not None else ())
+            scheduler.obstruction.obstructed_windows(0.0, window)
+            if scheduler.obstruction is not None else ())
         disruption_windows = [
             (w.start_t, w.end_t)
             for w in self.scenario.campaign.overlapping(0.0, window)]

@@ -22,6 +22,7 @@ clear-sky unit must never see a scheduler another scenario poked.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -56,12 +57,12 @@ from repro.leo.events import CampaignTimeline
 from repro.leo.fleet import (
     FleetScheduler,
     FleetSpec,
-    FleetTerminalView,
     build_fleet_terminals,
 )
 from repro.leo.geometry import GeoPoint
 from repro.leo.ground import STARLINK_GATEWAYS
 from repro.leo.mobility import build_mobility
+from repro.leo.scheduling import SatelliteScheduler
 from repro.rng import make_rng, stable_seed
 from repro.transport.quic import QuicConfig
 from repro.transport.tcp import TcpConfig
@@ -116,7 +117,26 @@ class WorkerContext:
     scenario: Scenario
 
 
-_CONTEXTS: dict[tuple, WorkerContext] = {}
+#: Most contexts one process memoises, least recently used evicted
+#: first. A campaign needs one (two in fleet mode), and every
+#: ``Campaign(...)`` adds its own; an evicted context is rebuilt on
+#: demand, identical because the model is a pure function of its key.
+MAX_CONTEXTS = 8
+
+_CONTEXTS: OrderedDict[tuple, WorkerContext | FleetContext] = OrderedDict()
+
+
+def _memoised(key: tuple, build):
+    """The context under ``key``, built by ``build()`` on a miss."""
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        ctx = build()
+        _CONTEXTS[key] = ctx
+        while len(_CONTEXTS) > MAX_CONTEXTS:
+            _CONTEXTS.popitem(last=False)
+    else:
+        _CONTEXTS.move_to_end(key)
+    return ctx
 
 
 def context_for(config: "CampaignConfig") -> WorkerContext:
@@ -126,33 +146,31 @@ def context_for(config: "CampaignConfig") -> WorkerContext:
     setup once no matter how many units it executes. The memo key
     covers the seed, the scenario name, every config knob the
     scenario's campaign schedule is derived from, AND the mobility
-    knobs — a context armed with one trajectory must never serve a
-    config describing another (the position-dependent caches inside
-    the scheduler would silently be stale for the second config).
+    knobs — the scheduler's terminal row holds the trajectory and
+    obstruction trace the config describes.
     """
-    key = (config.seed, config.scenario, config.ping_days,
+    key = ("dish", config.seed, config.scenario, config.ping_days,
            config.ping_interval_s, config.pings_per_round,
            config.trajectory, config.speed_kmh,
            config.drive_duration_s, config.obstruction)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        timeline = CampaignTimeline()
-        constellation = Constellation()
-        scenario = build_scenario(config.scenario, config)
-        trajectory, obstruction = build_mobility(config)
-        path_model = StarlinkPathModel(constellation=constellation,
-                                       timeline=timeline,
-                                       seed=config.seed,
-                                       trajectory=trajectory,
-                                       obstruction=obstruction)
-        # Campaign-scale gateway outages live in the shared scheduler
-        # (a no-op for clear_sky: the empty schedule installs nothing).
-        apply_to_scheduler(path_model.scheduler, scenario.campaign)
-        ctx = WorkerContext(
-            timeline=timeline, constellation=constellation,
-            path_model=path_model, scenario=scenario)
-        _CONTEXTS[key] = ctx
-    return ctx
+    return _memoised(key, lambda: _build_context(config))
+
+
+def _build_context(config: "CampaignConfig") -> WorkerContext:
+    timeline = CampaignTimeline()
+    constellation = Constellation()
+    scenario = build_scenario(config.scenario, config)
+    trajectory, obstruction = build_mobility(config)
+    path_model = StarlinkPathModel(constellation=constellation,
+                                   timeline=timeline,
+                                   seed=config.seed,
+                                   trajectory=trajectory,
+                                   obstruction=obstruction)
+    # Campaign-scale gateway outages live in the shared scheduler
+    # (a no-op for clear_sky: the empty schedule installs nothing).
+    apply_to_scheduler(path_model.scheduler, scenario.campaign)
+    return WorkerContext(timeline=timeline, constellation=constellation,
+                         path_model=path_model, scenario=scenario)
 
 
 def _starlink_access(config: "CampaignConfig", epoch: float,
@@ -181,8 +199,8 @@ class FleetContext:
     One :class:`FleetScheduler` serves every terminal unit the
     process executes, so a slot's batched geometry is computed once
     no matter how many terminals sample it. Path models are built
-    lazily per terminal around a :class:`FleetTerminalView`, each
-    seeded with that terminal's scheduler seed.
+    lazily per terminal around a :class:`SatelliteScheduler` view of
+    its row, each seeded with that terminal's scheduler seed.
     """
 
     timeline: CampaignTimeline
@@ -198,12 +216,10 @@ class FleetContext:
             model = StarlinkPathModel(
                 timeline=self.timeline,
                 seed=self.fleet.seeds[index],
-                scheduler=FleetTerminalView(self.fleet, index))
+                scheduler=SatelliteScheduler.for_row(self.fleet,
+                                                     index))
             self.models[index] = model
         return model
-
-
-_FLEET_CONTEXTS: dict[tuple, FleetContext] = {}
 
 
 def fleet_spec_for(config: "CampaignConfig") -> FleetSpec:
@@ -221,35 +237,30 @@ def fleet_context_for(config: "CampaignConfig") -> FleetContext:
     the fleet shape so two configs that place terminals differently
     never share a scheduler.
 
-    Cache audit (mobility): fleet terminals are deliberately fixed —
-    the config's trajectory/obstruction knobs apply to the classic
-    single-dish pipeline only, so omitting them from this key is
-    correct (two configs differing only in mobility produce identical
-    fleet datasets and may share the context). The fleet's
-    per-(slot, satellite) gateway memo is position-independent too:
-    gateway geometry relates satellites to *gateways*, never to
-    terminal positions.
+    Fleet terminals are fixed: the config's trajectory/obstruction
+    knobs apply to the single-dish pipeline only, so the key omits
+    them (two configs differing only in mobility produce identical
+    fleet datasets and may share the context).
     """
-    key = (config.seed, config.scenario, config.ping_days,
+    key = ("fleet", config.seed, config.scenario, config.ping_days,
            config.ping_interval_s, config.pings_per_round,
            config.fleet_terminals, config.fleet_lat_bands,
            config.fleet_lon_range)
-    ctx = _FLEET_CONTEXTS.get(key)
-    if ctx is None:
-        timeline = CampaignTimeline()
-        constellation = Constellation()
-        terminals = build_fleet_terminals(fleet_spec_for(config))
-        fleet = FleetScheduler(constellation, terminals,
-                               STARLINK_GATEWAYS, seed=config.seed)
-        scenario = build_scenario(config.scenario, config)
-        # Campaign-scale gateway outages are fleet-wide, exactly as
-        # they are for the single-dish scheduler.
-        apply_to_scheduler(fleet, scenario.campaign)
-        ctx = FleetContext(timeline=timeline,
-                           constellation=constellation,
-                           fleet=fleet, scenario=scenario)
-        _FLEET_CONTEXTS[key] = ctx
-    return ctx
+    return _memoised(key, lambda: _build_fleet_context(config))
+
+
+def _build_fleet_context(config: "CampaignConfig") -> FleetContext:
+    timeline = CampaignTimeline()
+    constellation = Constellation()
+    terminals = build_fleet_terminals(fleet_spec_for(config))
+    fleet = FleetScheduler(constellation, terminals,
+                           STARLINK_GATEWAYS, seed=config.seed)
+    scenario = build_scenario(config.scenario, config)
+    # Campaign-scale gateway outages are fleet-wide, exactly as they
+    # are for the single-dish scheduler.
+    apply_to_scheduler(fleet, scenario.campaign)
+    return FleetContext(timeline=timeline, constellation=constellation,
+                        fleet=fleet, scenario=scenario)
 
 
 def _ping_chunk_probes(cfg: "CampaignConfig", anchor_name: str,

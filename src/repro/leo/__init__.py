@@ -31,7 +31,6 @@ from repro.leo.scheduling import (
     HandoverEvent,
     PathSnapshot,
     SatelliteScheduler,
-    scan_handover_events,
 )
 from repro.leo.mobility import (
     ObstructionTrace,
@@ -47,7 +46,6 @@ from repro.leo.mobility import (
 from repro.leo.fleet import (
     FleetScheduler,
     FleetSpec,
-    FleetTerminalView,
     build_fleet_terminals,
     fleet_seeds,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "SatelliteScheduler",
     "PathSnapshot",
     "HandoverEvent",
-    "scan_handover_events",
     "Trajectory",
     "StationaryTrajectory",
     "WaypointTrajectory",
@@ -82,7 +79,6 @@ __all__ = [
     "build_obstruction",
     "FleetScheduler",
     "FleetSpec",
-    "FleetTerminalView",
     "build_fleet_terminals",
     "fleet_seeds",
     "CapacityProcess",

@@ -120,10 +120,9 @@ class StarlinkPathModel:
         self.timeline = timeline or CampaignTimeline()
         self.seed = seed
         if scheduler is not None:
-            # Injected scheduler (e.g. a FleetTerminalView sharing one
-            # FleetScheduler across terminals): the model follows its
-            # constellation/terminal instead of building its own.
-            # Injected schedulers manage their own mobility state.
+            # Injected scheduler (a row of a FleetScheduler shared
+            # across terminals): the model follows its constellation,
+            # terminal, trajectory and obstruction.
             self.scheduler = scheduler
             self.constellation = scheduler.constellation
             self.terminal = scheduler.terminal
@@ -253,10 +252,8 @@ class StarlinkPathModel:
     @property
     def mobility_armed(self) -> bool:
         """Whether slots can be unservable from motion/obstruction."""
-        scheduler = self.scheduler
-        return bool(getattr(scheduler, "_mobile", False)
-                    or getattr(scheduler, "obstruction", None)
-                    is not None)
+        return (self.scheduler.mobile
+                or self.scheduler.obstruction is not None)
 
     def is_unserved(self, t: float) -> bool:
         """Whether the slot under ``t`` has no servable path."""

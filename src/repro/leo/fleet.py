@@ -1,79 +1,31 @@
-"""Fleet-scale scheduling: many terminals on one shared constellation.
+"""Fleet placement: many terminals on one shared constellation.
 
-The paper measures a single dish; its follow-ons (and the roadmap's
-"millions of users" north star) need thousands of vantage points on
-the *same* constellation. Running one :class:`SatelliteScheduler` per
-terminal repeats the expensive work T times per slot: every scheduler
-re-propagates visibility over all N satellites and — the dominant
-cost — re-derives per-satellite gateway geometry candidate by
-candidate (O(visible x gateways) scalar Python calls).
+The paper measures a single dish; its follow-ons need many vantage
+points on the *same* constellation. :class:`FleetSpec` places a
+fleet's terminals across latitude bands, round-robin with
+per-terminal seeded jitter, which is how the multi-vantage campaign
+mode spreads its dishes.
 
-:class:`FleetScheduler` computes a whole slot for T terminals in one
-batched pass and is **bit-identical** per terminal to a scalar
-``SatelliteScheduler(seed=seeds[i])`` (pinned by
-``tests/leo/test_fleet_differential.py`` and the ``fleet-smoke`` CI
-digest gate). The trick is to vectorise only where floats cannot
-move:
-
-* One conservative **prefilter** per slot: a single (T, 3) x (3, N)
-  matmul of unit vectors bounds the central angle between every
-  satellite and every terminal. Satellites that cannot possibly clear
-  ``min_elevation_deg - prefilter_margin_deg`` are dropped *before*
-  any exact math runs. The bound is analytic (spherical geometry,
-  widest shell) with a 10-degree elevation margin and an epsilon of
-  cosine slack, so the surviving set is a strict superset of the
-  visible set.
-* Exact per-terminal geometry on the surviving subset with the *same*
-  vectorised kernels the scalar path uses: numpy row-subset
-  elementwise ops, ``@`` with a fixed unit vector and
-  ``norm(axis=1)`` produce bit-identical floats on a subset of rows,
-  so elevations/ranges match the scalar scheduler byte for byte.
-  (A broadcast (T, N) formulation would *not*: scalar BLAS dot/norm
-  round through FMA contractions that numpy's broadcast kernels
-  don't reproduce.)
-* Per-satellite **gateway geometry memoised once per slot** and
-  shared by every terminal. The scalar scheduler recomputes it per
-  candidate per terminal even though two terminals considering the
-  same satellite get the same answer; the fleet pays the scalar-op
-  cost once per distinct satellite actually considered.
-
-Selection itself stays per terminal: the same descending-elevation
-candidate walk, the same ``candidate_pool`` cutoff, and the same
-``make_rng((seed, slot)).choice(...)`` draw, so snapshots — and every
-digest derived from them — are unchanged.
-
-Fleet placement (:class:`FleetSpec`) assigns terminals to latitude
-bands round-robin with per-terminal seeded jitter, which is how the
-multi-vantage campaign mode spreads its dishes.
+The fleet is scheduled by :class:`~repro.leo.scheduling.FleetScheduler`,
+the one implementation of slot selection, re-exported here: it
+computes each slot for all T terminals in one batched pass, and a
+single dish is its one-row case. Rows may move and carry their own
+sky masks; the campaign's fleet mode keeps its terminals fixed.
 """
 
 from __future__ import annotations
 
-import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.leo.constellation import Constellation
-from repro.leo.geometry import GeoPoint, elevation_and_range, unit_up
-from repro.leo.ground import GroundStation, UserTerminal
-from repro.leo.scheduling import (
-    SLOT_DURATION,
-    PathSnapshot,
-    _NO_OUTAGES,
-    build_outage_index,
-    gateway_geometry,
-    scan_handover_events,
-    select_gateway,
-)
-from repro.rng import make_rng, stable_seed
+from repro.leo.geometry import GeoPoint
+from repro.leo.ground import UserTerminal
+from repro.leo.scheduling import FleetScheduler, fleet_seeds
+from repro.rng import make_rng
 
 __all__ = [
     "FleetScheduler",
     "FleetSpec",
-    "FleetTerminalView",
     "build_fleet_terminals",
     "fleet_seeds",
 ]
@@ -124,402 +76,3 @@ def build_fleet_terminals(spec: FleetSpec) -> list[UserTerminal]:
         terminals.append(
             UserTerminal(f"ut-fleet-{i:04d}", GeoPoint(lat, lon)))
     return terminals
-
-
-def fleet_seeds(seed: int, n: int) -> list[int]:
-    """Per-terminal scheduler seeds derived from a fleet seed."""
-    return [stable_seed(seed, "fleet-terminal", i) for i in range(n)]
-
-
-def _max_central_angle_deg(rg_m: float, rs_m: float,
-                           elevation_deg: float) -> float:
-    """Largest Earth-central angle at which a satellite on a circular
-    orbit of radius ``rs_m`` can appear at or above ``elevation_deg``
-    from a ground site at radius ``rg_m`` (spherical geometry)."""
-    e = math.radians(elevation_deg)
-    x = (rg_m / rs_m) * math.cos(e)
-    if x >= 1.0:
-        return 0.0
-    psi = math.acos(x) - e
-    return math.degrees(psi)
-
-
-class FleetScheduler:
-    """Per-slot scheduling for T terminals sharing one constellation.
-
-    Terminal ``i`` is bit-identical to
-    ``SatelliteScheduler(constellation, terminals[i], gateways,
-    seed=seeds[i], candidate_pool=candidate_pool)`` — snapshots,
-    outage behaviour and error messages included. Satellite and
-    gateway outages injected here are fleet-wide, exactly as a failed
-    bird or a gateway in maintenance affects every dish at once.
-    """
-
-    #: Whole slots (all T snapshots) the LRU retains.
-    slot_cache_slots = 4096
-    #: Elevation safety margin of the visibility prefilter, degrees.
-    #: The analytic bound is exact on a sphere; the margin absorbs
-    #: every rounding concern by many orders of magnitude. Shrinking
-    #: it below ~1 degree is the only way to make the prefilter
-    #: unsound; the differential suite pins the superset property.
-    prefilter_margin_deg = 10.0
-
-    def __init__(self, constellation: Constellation,
-                 terminals: list[UserTerminal],
-                 gateways: list[GroundStation],
-                 seeds: list[int] | None = None,
-                 seed: int = 0,
-                 candidate_pool: int = 4,
-                 prefilter: bool = True):
-        if not terminals:
-            raise ConfigurationError(
-                "a fleet needs at least one terminal")
-        if not gateways:
-            raise ConfigurationError("at least one gateway is required")
-        if seeds is not None and len(seeds) != len(terminals):
-            raise ConfigurationError(
-                f"got {len(seeds)} seeds for {len(terminals)} terminals")
-        self.constellation = constellation
-        self.terminals = list(terminals)
-        self.gateways = list(gateways)
-        self.seeds = (list(seeds) if seeds is not None
-                      else fleet_seeds(seed, len(terminals)))
-        self.candidate_pool = candidate_pool
-        self.prefilter = prefilter
-        # Exact per-terminal ground state, byte-for-byte what a scalar
-        # scheduler would hold: 1-D ecef vectors and their unit ups.
-        self._ut_ecef = [t.ecef() for t in self.terminals]
-        self._ut_ups = [unit_up(g) for g in self._ut_ecef]
-        self._gw_ecef = np.array([gw.ecef() for gw in self.gateways])
-        self._gw_ups = [unit_up(gw) for gw in self._gw_ecef]
-        # Prefilter state: unit directions as a (T, 3) matrix and the
-        # per-terminal cosine thresholds (approximate math is fine
-        # here; the threshold only has to be conservative). Row-major
-        # so each terminal's keep row comes out contiguous.
-        self._ut_units = np.ascontiguousarray(np.stack(self._ut_ups))
-        self._inv_radii = 1.0 / self.constellation.orbit_radii()
-        self._max_radius = float(self.constellation.orbit_radii().max())
-        self._cos_thresh: np.ndarray | None = None
-        self._thresh_min_el: float | None = None
-        #: slot -> per-terminal entries (PathSnapshot, or the
-        #: ConfigurationError that terminal's scalar twin would raise).
-        self._slot_cache: OrderedDict[
-            int, list[PathSnapshot | ConfigurationError]] = OrderedDict()
-        self._outages: list[tuple[int, int, int]] = []
-        self._gateway_outages: list[tuple[int, int, int]] = []
-        self._out_index: dict[int, frozenset[int]] | None = {}
-        self._gw_out_index: dict[int, frozenset[int]] | None = {}
-        self._index_version = 0
-        #: Bumped on outage injection; downstream per-slot caches
-        #: (e.g. the path model's base-delay memo) key on it.
-        self.version = 0
-        #: Prefilter effectiveness counters (candidates kept / total
-        #: satellite-terminal pairs examined); observability only.
-        self.prefilter_kept = 0
-        self.prefilter_total = 0
-
-    # -- fleet shape --------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        """Number of terminals in the fleet."""
-        return len(self.terminals)
-
-    def slot_of(self, t: float) -> int:
-        """Scheduler slot index containing time ``t``."""
-        return int(t // SLOT_DURATION)
-
-    # -- outage injection (fleet-wide) --------------------------------
-
-    def add_outage(self, sat_index: int, start_slot: int,
-                   end_slot: int) -> None:
-        """Take a satellite out of service for every terminal."""
-        if end_slot <= start_slot:
-            raise ConfigurationError(
-                f"outage window is empty: [{start_slot}, {end_slot})")
-        self._outages.append((sat_index, start_slot, end_slot))
-        self._bump(start_slot, end_slot)
-
-    def add_gateway_outage(self, gateway_name: str, start_slot: int,
-                           end_slot: int) -> None:
-        """Take a gateway out of service for every terminal."""
-        names = [gw.name for gw in self.gateways]
-        if gateway_name not in names:
-            raise ConfigurationError(
-                f"unknown gateway {gateway_name!r}; have {names}")
-        if end_slot <= start_slot:
-            raise ConfigurationError(
-                f"gateway outage window is empty: "
-                f"[{start_slot}, {end_slot})")
-        self._gateway_outages.append(
-            (names.index(gateway_name), start_slot, end_slot))
-        self._bump(start_slot, end_slot)
-
-    def _bump(self, start_slot: int, end_slot: int) -> None:
-        self.version += 1
-        for slot in range(start_slot, end_slot):
-            self._slot_cache.pop(slot, None)
-
-    def _refresh_outage_index(self) -> None:
-        if self._index_version == self.version:
-            return
-        self._out_index = build_outage_index(self._outages)
-        self._gw_out_index = build_outage_index(self._gateway_outages)
-        self._index_version = self.version
-
-    def out_sats_at(self, slot: int) -> frozenset[int]:
-        """Satellite indices out of service during ``slot``."""
-        self._refresh_outage_index()
-        if self._out_index is None:
-            return frozenset(
-                sat for sat, start, end in self._outages
-                if start <= slot < end)
-        return self._out_index.get(slot, _NO_OUTAGES)
-
-    def out_gateways_at(self, slot: int) -> frozenset[int]:
-        """Gateway indices out of service during ``slot``."""
-        self._refresh_outage_index()
-        if self._gw_out_index is None:
-            return frozenset(
-                gw for gw, start, end in self._gateway_outages
-                if start <= slot < end)
-        return self._gw_out_index.get(slot, _NO_OUTAGES)
-
-    # -- queries ------------------------------------------------------
-
-    def snapshot_at(self, index: int, t: float) -> PathSnapshot:
-        """Terminal ``index``'s path in force at time ``t``.
-
-        Raises exactly the :class:`ConfigurationError` the terminal's
-        scalar scheduler would raise when nothing is visible or no
-        visible satellite sees a gateway.
-        """
-        entry = self._slot_entries(self.slot_of(t))[index]
-        if isinstance(entry, ConfigurationError):
-            raise entry
-        return entry
-
-    def snapshots(self, t: float) -> list[PathSnapshot | None]:
-        """All terminals' paths at ``t``; ``None`` where unservable."""
-        return [entry if isinstance(entry, PathSnapshot) else None
-                for entry in self._slot_entries(self.slot_of(t))]
-
-    def user_counts(self, t: float) -> dict[int, int]:
-        """Served terminals per satellite index during ``t``'s slot."""
-        counts: dict[int, int] = {}
-        for entry in self._slot_entries(self.slot_of(t)):
-            if isinstance(entry, PathSnapshot):
-                counts[entry.sat_index] = \
-                    counts.get(entry.sat_index, 0) + 1
-        return counts
-
-    def capacity_share(self, index: int, t: float) -> float:
-        """Terminal ``index``'s fair share of its serving satellite.
-
-        ``1 / (terminals served by the same satellite this slot)`` —
-        the oversubscription knob the campaign's fleet mode feeds into
-        :class:`repro.leo.access.StarlinkAccess`'s ``capacity_share``.
-        """
-        snap = self.snapshot_at(index, t)
-        return 1.0 / self.user_counts(t)[snap.sat_index]
-
-    # -- the batched slot computation ---------------------------------
-
-    def _slot_entries(self, slot: int
-                      ) -> list[PathSnapshot | ConfigurationError]:
-        entries = self._slot_cache.get(slot)
-        if entries is None:
-            entries = self._compute_slot(slot)
-            self._slot_cache[slot] = entries
-            while len(self._slot_cache) > self.slot_cache_slots:
-                self._slot_cache.popitem(last=False)
-        else:
-            self._slot_cache.move_to_end(slot)
-        return entries
-
-    def _thresholds(self, min_el: float) -> np.ndarray:
-        """Per-terminal prefilter cosine thresholds, recomputed only
-        when the constellation's minimum elevation changes."""
-        if self._cos_thresh is None or self._thresh_min_el != min_el:
-            margin_el = min_el - self.prefilter_margin_deg
-            thresh = np.empty(len(self.terminals))
-            for i, ground in enumerate(self._ut_ecef):
-                psi = _max_central_angle_deg(
-                    float(np.linalg.norm(ground)), self._max_radius,
-                    margin_el)
-                # A hair of cosine slack on top of the 10-degree
-                # elevation margin; cos is decreasing, so lower
-                # threshold == more satellites kept.
-                thresh[i] = math.cos(math.radians(min(psi, 180.0))) \
-                    - 1e-9
-            self._cos_thresh = thresh
-            self._thresh_min_el = min_el
-        return self._cos_thresh
-
-    def _compute_slot(self, slot: int
-                      ) -> list[PathSnapshot | ConfigurationError]:
-        t = slot * SLOT_DURATION
-        positions = self.constellation.positions(t)
-        min_el = self.constellation.min_elevation_deg
-        if self.prefilter:
-            # One (T, 3) x (3, N) pass bounds every satellite-terminal
-            # central angle; exact math below runs on survivors only.
-            sat_units = positions * self._inv_radii[:, None]
-            cos_angles = self._ut_units @ sat_units.T
-            keep = cos_angles >= self._thresholds(min_el)[:, None]
-            self.prefilter_kept += int(np.count_nonzero(keep))
-            self.prefilter_total += keep.size
-        out_sats = (self.out_sats_at(slot) if self._outages
-                    else _NO_OUTAGES)
-        out_gws = (self.out_gateways_at(slot)
-                   if self._gateway_outages else _NO_OUTAGES)
-        # Best-gateway choice per satellite, shared across terminals:
-        # the scalar scheduler's dominant cost, paid here once per
-        # distinct satellite actually walked. The memoised value is
-        # the full selection, valid slot-wide because the gateway
-        # outage set is fixed within a slot.
-        gw_memo: dict[int, tuple[int, float] | None] = {}
-        entries: list[PathSnapshot | ConfigurationError] = []
-        for i, ground in enumerate(self._ut_ecef):
-            entries.append(self._terminal_slot(
-                i, slot, t, positions, min_el, ground,
-                keep[i] if self.prefilter else None,
-                out_sats, out_gws, gw_memo))
-        return entries
-
-    def _terminal_slot(self, i, slot, t, positions, min_el, ground,
-                       keep_mask, out_sats, out_gws, gw_memo
-                       ) -> PathSnapshot | ConfigurationError:
-        if keep_mask is None:
-            indices, elevations, ranges = \
-                self.constellation.visible_from(
-                    ground, t, up=self._ut_ups[i])
-        else:
-            cand = np.nonzero(keep_mask)[0]
-            # Row-subset computation with the exact kernels the full
-            # visible_from pass uses: bit-identical on the subset.
-            elev, rng_m = elevation_and_range(ground, positions[cand],
-                                              self._ut_ups[i])
-            mask = elev >= min_el
-            indices = cand[mask]
-            if indices.size:
-                elevations = elev[mask]
-                ranges = rng_m[mask]
-                order = np.argsort(-elevations)
-                indices = indices[order]
-                elevations = elevations[order]
-                ranges = ranges[order]
-            else:
-                elevations = ranges = np.array([])
-        if indices.size == 0:
-            return ConfigurationError(
-                f"no satellite visible from {self.terminals[i].name} "
-                f"at t={t}; constellation too sparse for this latitude")
-        candidates = []
-        for sat, elev_deg, rng_m in zip(indices.tolist(),
-                                        elevations.tolist(),
-                                        ranges.tolist()):
-            if sat in out_sats:
-                continue
-            if sat in gw_memo:
-                gw_choice = gw_memo[sat]
-            else:
-                gw_choice = select_gateway(
-                    *gateway_geometry(self._gw_ecef, self._gw_ups,
-                                      positions[sat]),
-                    out_gws)
-                gw_memo[sat] = gw_choice
-            if gw_choice is None:
-                continue
-            gw_pos_idx, gw_range = gw_choice
-            candidates.append((sat, float(elev_deg), float(rng_m),
-                               gw_pos_idx, gw_range))
-            if len(candidates) >= self.candidate_pool:
-                break
-        if not candidates:
-            return ConfigurationError(
-                f"no visible satellite sees a gateway at t={t}")
-        rng = make_rng((self.seeds[i], slot))
-        sat_idx, elev_deg, ut_range, gw_idx, gw_range = \
-            rng.choice(candidates)
-        return PathSnapshot(
-            slot=slot, sat_index=sat_idx, gateway=self.gateways[gw_idx],
-            ut_range_m=ut_range, gw_range_m=gw_range,
-            elevation_deg=elev_deg)
-
-
-class FleetTerminalView:
-    """One terminal's scheduler-shaped window onto a fleet.
-
-    Duck-compatible with :class:`SatelliteScheduler` where
-    :class:`repro.leo.access.StarlinkPathModel` (and the disruption
-    installers) touch it: ``slot_of`` / ``snapshot`` / ``version`` /
-    outage injection. Outages injected through a view are fleet-wide
-    by design — a failed satellite fails for every dish.
-    """
-
-    def __init__(self, fleet: FleetScheduler, index: int):
-        if not 0 <= index < fleet.size:
-            raise ConfigurationError(
-                f"terminal index {index} outside fleet of {fleet.size}")
-        self.fleet = fleet
-        self.index = index
-
-    @property
-    def terminal(self) -> UserTerminal:
-        """The viewed terminal."""
-        return self.fleet.terminals[self.index]
-
-    @property
-    def constellation(self) -> Constellation:
-        """The shared constellation."""
-        return self.fleet.constellation
-
-    @property
-    def gateways(self) -> list[GroundStation]:
-        """The shared gateways."""
-        return self.fleet.gateways
-
-    @property
-    def seed(self) -> int:
-        """The terminal's selection seed."""
-        return self.fleet.seeds[self.index]
-
-    @property
-    def version(self) -> int:
-        """The fleet's invalidation counter."""
-        return self.fleet.version
-
-    def slot_of(self, t: float) -> int:
-        """Scheduler slot index containing time ``t``."""
-        return self.fleet.slot_of(t)
-
-    def snapshot(self, t: float) -> PathSnapshot:
-        """The terminal's path in force at time ``t``."""
-        return self.fleet.snapshot_at(self.index, t)
-
-    def add_outage(self, sat_index: int, start_slot: int,
-                   end_slot: int) -> None:
-        """Fleet-wide satellite outage (see class docstring)."""
-        self.fleet.add_outage(sat_index, start_slot, end_slot)
-
-    def add_gateway_outage(self, gateway_name: str, start_slot: int,
-                           end_slot: int) -> None:
-        """Fleet-wide gateway outage (see class docstring)."""
-        self.fleet.add_gateway_outage(gateway_name, start_slot,
-                                      end_slot)
-
-    def handover_events(self, start: float, end: float):
-        """Every path-change boundary with kinds (shared scan)."""
-        return scan_handover_events(self.snapshot, self.slot_of,
-                                    start, end)
-
-    def handover_times(self, start: float, end: float) -> list[float]:
-        """Slot boundaries where the serving path changes.
-
-        Same all-kinds semantics (satellite, gateway, PoP, service)
-        as :meth:`SatelliteScheduler.handover_times` — both delegate
-        to the shared :func:`scan_handover_events`.
-        """
-        return [event.t
-                for event in self.handover_events(start, end)]

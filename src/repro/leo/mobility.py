@@ -79,10 +79,13 @@ DEFAULT_DRIVE_DURATION_S = 3600.0
 class Trajectory:
     """Where the terminal is at campaign time ``t``.
 
-    Subclasses are frozen dataclasses: a trajectory can never mutate
-    under a scheduler's feet — replacing one requires
-    :meth:`~repro.leo.scheduling.SatelliteScheduler.set_trajectory`,
-    which invalidates every position-dependent cache.
+    Subclasses are frozen dataclasses, and a scheduler row takes its
+    trajectory when the scheduler is built
+    (:class:`~repro.leo.scheduling.FleetScheduler` ``trajectories``,
+    :class:`~repro.leo.scheduling.SatelliteScheduler`
+    ``trajectory``): nothing can move a terminal under a cache
+    computed for another position. A different trajectory means a
+    new scheduler.
     """
 
     def position_at(self, t: float) -> GeoPoint:  # pragma: no cover

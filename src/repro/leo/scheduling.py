@@ -11,21 +11,51 @@ greedy: the real scheduler balances load across cells, which shows up
 to a single user as *not always* getting the highest-elevation
 satellite. Randomness is seeded per slot, so a snapshot for a given
 time is reproducible no matter the query order.
+
+:class:`FleetScheduler` is the one implementation of slot selection.
+It computes a slot for T terminals sharing one constellation in a
+single batched pass; a single dish is a one-row fleet, seen through
+:class:`SatelliteScheduler`. The batching vectorises only where floats
+cannot move:
+
+* One conservative **prefilter** per slot: a single (T, 3) x (3, N)
+  matmul of unit vectors bounds the central angle between every
+  satellite and every terminal. Satellites that cannot possibly clear
+  ``min_elevation_deg - prefilter_margin_deg`` are dropped *before*
+  any exact math runs. The bound is analytic (spherical geometry,
+  widest shell) with a 10-degree elevation margin and an epsilon of
+  cosine slack, so the surviving set is a strict superset of the
+  visible set.
+* Exact per-terminal geometry on the surviving subset with the *same*
+  vectorised kernels :meth:`Constellation.visible_from` uses: numpy
+  row-subset elementwise ops, ``@`` with a fixed unit vector and
+  ``norm(axis=1)`` produce bit-identical floats on a subset of rows.
+  (A broadcast (T, N) formulation would *not*: scalar BLAS dot/norm
+  round through FMA contractions that numpy's broadcast kernels
+  don't reproduce.) ``prefilter=False`` runs the full
+  ``visible_from`` pass instead, the reference the differential
+  suite compares against.
+* Per-satellite **gateway geometry memoised once per slot** and
+  shared by every terminal considering the same satellite.
+
+Selection itself stays per terminal: the same descending-elevation
+candidate walk, the same ``candidate_pool`` cutoff, and the same
+``make_rng((seed, slot)).choice(...)`` draw.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rng import make_rng
+from repro.rng import make_rng, stable_seed
 from repro.errors import ConfigurationError
 from repro.leo.constellation import Constellation
-from repro.leo.geometry import (azimuth_angle, elevation_angle,
-                                slant_range, unit_up)
+from repro.leo.geometry import (azimuth_angle, elevation_and_range,
+                                elevation_angle, slant_range, unit_up)
 from repro.leo.ground import GroundStation, UserTerminal
 from repro.units import SPEED_OF_LIGHT
 
@@ -71,9 +101,9 @@ def gateway_geometry(gw_ecef: np.ndarray, gw_ups: list[np.ndarray],
     Deliberately evaluated with the scalar :func:`elevation_angle` /
     :func:`slant_range` ops: these floats feed digest-pinned
     :class:`PathSnapshot` fields, and the scalar BLAS kernels round
-    differently from their broadcast counterparts. The fleet layer
-    gets its speedup by *memoizing* this function per (slot,
-    satellite) across terminals, not by re-deriving it vectorised.
+    differently from their broadcast counterparts. The scheduler gets
+    its speedup by *memoizing* this function per (slot, satellite)
+    across terminals, not by re-deriving it vectorised.
     """
     n = len(gw_ecef)
     elevations = np.empty(n)
@@ -125,45 +155,6 @@ class HandoverEvent:
     kinds: frozenset[str]
 
 
-def scan_handover_events(snapshot_fn, slot_of, start: float,
-                         end: float) -> list[HandoverEvent]:
-    """All path-change boundaries in ``[start, end)``.
-
-    Shared by the scalar scheduler and the fleet terminal view so
-    both report identical events. ``snapshot_fn`` may raise
-    :class:`ConfigurationError` for unservable slots; those become
-    ``service`` transitions rather than propagating.
-    """
-    def state_at(t: float):
-        try:
-            snap = snapshot_fn(t)
-        except ConfigurationError:
-            return None
-        return (snap.sat_index, snap.gateway.name, snap.pop)
-
-    events: list[HandoverEvent] = []
-    previous = state_at(start)
-    slot = slot_of(start) + 1
-    while slot * SLOT_DURATION < end:
-        t = slot * SLOT_DURATION
-        current = state_at(t)
-        if current != previous:
-            kinds = set()
-            if (current is None) != (previous is None):
-                kinds.add("service")
-            if current is not None and previous is not None:
-                if current[0] != previous[0]:
-                    kinds.add("satellite")
-                if current[1] != previous[1]:
-                    kinds.add("gateway")
-                if current[2] != previous[2]:
-                    kinds.add("pop")
-            events.append(HandoverEvent(t=t, kinds=frozenset(kinds)))
-            previous = current
-        slot += 1
-    return events
-
-
 @dataclass(frozen=True)
 class PathSnapshot:
     """The bent-pipe path in force during one scheduler slot."""
@@ -186,56 +177,111 @@ class PathSnapshot:
         return self.gateway.pop
 
 
-class SatelliteScheduler:
-    """Chooses the serving satellite and gateway per 15 s slot."""
+def fleet_seeds(seed: int, n: int) -> list[int]:
+    """Per-terminal scheduler seeds derived from a fleet seed."""
+    return [stable_seed(seed, "fleet-terminal", i) for i in range(n)]
 
-    #: Bound on distinct slots the snapshot cache retains; beyond it
-    #: the least-recently-used slot is evicted (a wholesale clear
-    #: would make a long campaign's periodic revisits recompute the
-    #: whole working set).
-    snapshot_cache_slots = 10_000
 
-    #: Bound on distinct slots the mobile terminal-state memo holds
-    #: (ECEF + up per slot); evicted LRU like the snapshot cache.
-    terminal_state_cache_slots = 10_000
+def _max_central_angle_deg(rg_m: float, rs_m: float,
+                           elevation_deg: float) -> float:
+    """Largest Earth-central angle at which a satellite on a circular
+    orbit of radius ``rs_m`` can appear at or above ``elevation_deg``
+    from a ground site at radius ``rg_m`` (spherical geometry)."""
+    e = math.radians(elevation_deg)
+    x = (rg_m / rs_m) * math.cos(e)
+    if x >= 1.0:
+        return 0.0
+    psi = math.acos(x) - e
+    return math.degrees(psi)
+
+
+class FleetScheduler:
+    """Per-slot scheduling for T terminals sharing one constellation.
+
+    Row ``i`` serves ``terminals[i]`` with selection seed ``seeds[i]``.
+    Its trajectory and obstruction trace (``trajectories[i]``,
+    ``obstructions[i]``; ``None`` for a fixed dish under a clear sky)
+    are fixed when the fleet is built, so no cache can outlive the
+    position it was computed for. A moving row evaluates its position
+    per slot; a stationary row keeps the vectors computed here.
+    Satellite and gateway outages are fleet-wide, exactly as a failed
+    bird or a gateway in maintenance affects every dish at once.
+    """
+
+    #: Elevation safety margin of the visibility prefilter, degrees.
+    #: The analytic bound is exact on a sphere; the margin absorbs
+    #: every rounding concern by many orders of magnitude. Shrinking
+    #: it below ~1 degree is the only way to make the prefilter
+    #: unsound; the differential suite pins the superset property.
+    prefilter_margin_deg = 10.0
 
     def __init__(self, constellation: Constellation,
-                 terminal: UserTerminal,
+                 terminals: list[UserTerminal],
                  gateways: list[GroundStation],
+                 seeds: list[int] | None = None,
                  seed: int = 0,
                  candidate_pool: int = 4,
-                 trajectory=None,
-                 obstruction=None):
+                 prefilter: bool = True,
+                 trajectories: list | None = None,
+                 obstructions: list | None = None):
+        if not terminals:
+            raise ConfigurationError(
+                "a fleet needs at least one terminal")
         if not gateways:
             raise ConfigurationError("at least one gateway is required")
+        n = len(terminals)
+        for name, rows in (("seeds", seeds),
+                           ("trajectories", trajectories),
+                           ("obstructions", obstructions)):
+            if rows is not None and len(rows) != n:
+                raise ConfigurationError(
+                    f"got {len(rows)} {name} for {n} terminals")
         self.constellation = constellation
-        self.terminal = terminal
+        self.terminals = list(terminals)
         self.gateways = list(gateways)
-        self.seed = seed
+        self.seeds = (list(seeds) if seeds is not None
+                      else fleet_seeds(seed, n))
         self.candidate_pool = candidate_pool
-        self._ut_ecef = terminal.ecef()
+        self.prefilter = prefilter
+        self.trajectories = (tuple(trajectories) if trajectories
+                             is not None else (None,) * n)
+        self.obstructions = (tuple(obstructions) if obstructions
+                             is not None else (None,) * n)
+        #: Rows whose terminal moves; only these do per-slot
+        #: position work.
+        self.moving_rows = tuple(
+            i for i, trajectory in enumerate(self.trajectories)
+            if trajectory is not None and not trajectory.is_stationary)
+        #: Whole slots (all T snapshots) the LRU retains. One terminal
+        #: keeps 10,000: the default 151-day campaign pings 7,248
+        #: distinct slots per anchor, walking them in order once per
+        #: anchor, so a smaller LRU would miss on every lookup. A
+        #: fleet slot holds T snapshots, so a fleet keeps 4,096.
+        self.slot_cache_slots = 10_000 if n == 1 else 4096
+        # Exact per-row ground state, 1-D ecef vectors and their unit
+        # ups. A trajectory places its row at its t=0 position, which
+        # a stationary one never leaves; a moving row's entry is
+        # replaced per slot.
+        self._ut_ecef = [
+            ut.ecef() if trajectory is None
+            else trajectory.position_at(0.0).to_ecef()
+            for ut, trajectory in zip(self.terminals, self.trajectories)]
+        self._ut_ups = [unit_up(g) for g in self._ut_ecef]
         self._gw_ecef = np.array([gw.ecef() for gw in self.gateways])
-        # Unit up-vectors, precomputed once per ground site and passed
-        # back through elevation_angle(up=...): same bytes, one norm
-        # per site instead of one per call on the hot path.
-        self._ut_up = unit_up(self._ut_ecef)
         self._gw_ups = [unit_up(gw) for gw in self._gw_ecef]
-        self._cache: OrderedDict[
-            int, PathSnapshot | ConfigurationError] = OrderedDict()
-        # Mobility state. ``mobility_epoch`` is the position analogue
-        # of ``version``: every cache entry derived from the terminal
-        # position is stamped with it, and set_trajectory() bumping it
-        # makes stale reuse an assertion failure rather than silently
-        # wrong geometry. ``_armed_*`` mirror the public attributes so
-        # direct assignment (bypassing set_trajectory) trips the guard.
-        self.mobility_epoch = 0
-        self.trajectory = None
-        self.obstruction = None
-        self._armed_trajectory = None
-        self._armed_obstruction = None
-        self._mobile = False
-        self._ut_state_cache: OrderedDict[
-            int, tuple[int, np.ndarray, np.ndarray]] = OrderedDict()
+        # Prefilter state: unit directions as a (T, 3) matrix and the
+        # per-terminal cosine thresholds (approximate math is fine
+        # here; the threshold only has to be conservative). Row-major
+        # so each terminal's keep row comes out contiguous.
+        self._ut_units = np.ascontiguousarray(np.stack(self._ut_ups))
+        self._inv_radii = 1.0 / self.constellation.orbit_radii()
+        self._max_radius = float(self.constellation.orbit_radii().max())
+        self._cos_thresh: np.ndarray | None = None
+        self._thresh_min_el: float | None = None
+        #: slot -> per-terminal entries (PathSnapshot, or the
+        #: ConfigurationError that slot raises for that terminal).
+        self._slot_cache: OrderedDict[
+            int, list[PathSnapshot | ConfigurationError]] = OrderedDict()
         #: Injected satellite outages: (sat_index, start_slot, end_slot).
         self._outages: list[tuple[int, int, int]] = []
         #: Injected gateway outages: (gw_index, start_slot, end_slot).
@@ -246,103 +292,26 @@ class SatelliteScheduler:
         self._out_index: dict[int, frozenset[int]] | None = {}
         self._gw_out_index: dict[int, frozenset[int]] | None = {}
         self._index_version = 0
-        #: Bumped whenever snapshots may change retroactively (outage
-        #: injection); downstream per-slot caches key on it to
-        #: invalidate without subscribing to individual slots.
+        #: Bumped on outage injection; downstream per-slot caches
+        #: (e.g. the path model's base-delay memo) key on it.
         self.version = 0
-        if trajectory is not None or obstruction is not None:
-            self.set_trajectory(trajectory, obstruction)
+        #: Prefilter effectiveness counters (candidates kept / total
+        #: satellite-terminal pairs examined); observability only.
+        self.prefilter_kept = 0
+        self.prefilter_total = 0
 
-    def set_trajectory(self, trajectory, obstruction=None) -> None:
-        """Arm (or clear) the terminal's trajectory and obstruction.
+    # -- fleet shape --------------------------------------------------
 
-        The only supported way to change terminal motion: it bumps
-        both ``version`` (so downstream per-slot delay caches drop
-        their entries) and ``mobility_epoch`` (so every memoised
-        terminal position is provably from the current trajectory),
-        and clears the snapshot cache. Assigning ``self.trajectory``
-        directly leaves the armed copy behind and trips the stale-
-        geometry assertion on the next snapshot.
-        """
-        if trajectory is not None and trajectory.is_stationary:
-            # A provably-fixed trajectory collapses to the classic
-            # fast path: position evaluated once, same float pipeline
-            # as a fixed UserTerminal at that location.
-            self._ut_ecef = trajectory.position_at(0.0).to_ecef()
-            self._ut_up = unit_up(self._ut_ecef)
-        self.trajectory = trajectory
-        self.obstruction = obstruction
-        self._armed_trajectory = trajectory
-        self._armed_obstruction = obstruction
-        self._mobile = (trajectory is not None
-                        and not trajectory.is_stationary)
-        self.mobility_epoch += 1
-        self.version += 1
-        self._cache.clear()
-        self._ut_state_cache.clear()
-
-    def _terminal_state(self, slot: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """``(ecef, unit_up)`` of the terminal during ``slot``.
-
-        The stationary fast path returns the vectors precomputed at
-        construction — byte-identical to the pre-mobility scheduler.
-        Mobile terminals memoise per slot, entries stamped with
-        ``mobility_epoch`` and asserted fresh on every read.
-        """
-        if not self._mobile:
-            return self._ut_ecef, self._ut_up
-        entry = self._ut_state_cache.get(slot)
-        if entry is not None and entry[0] != self.mobility_epoch:
-            raise AssertionError(
-                f"stale terminal-state cache: slot {slot} entry from "
-                f"mobility epoch {entry[0]}, scheduler at "
-                f"{self.mobility_epoch}")
-        if entry is None:
-            pos = self.trajectory.position_at(slot * SLOT_DURATION)
-            ecef = pos.to_ecef()
-            entry = (self.mobility_epoch, ecef, unit_up(ecef))
-            self._ut_state_cache[slot] = entry
-            while (len(self._ut_state_cache)
-                   > self.terminal_state_cache_slots):
-                self._ut_state_cache.popitem(last=False)
-        else:
-            self._ut_state_cache.move_to_end(slot)
-        return entry[1], entry[2]
+    @property
+    def size(self) -> int:
+        """Number of terminals in the fleet."""
+        return len(self.terminals)
 
     def slot_of(self, t: float) -> int:
         """Scheduler slot index containing time ``t``."""
         return int(t // SLOT_DURATION)
 
-    def snapshot(self, t: float) -> PathSnapshot:
-        """The path in force at time ``t`` (cached per slot, LRU).
-
-        Unservable slots (no visible satellite/gateway pair — sparse
-        constellation, injected outages, or a full-sky obstruction)
-        raise :class:`ConfigurationError`; the error is cached like a
-        snapshot so a drive-through outage costs one geometry scan
-        per slot, not one per packet.
-        """
-        if (self.trajectory is not self._armed_trajectory
-                or self.obstruction is not self._armed_obstruction):
-            raise AssertionError(
-                "trajectory/obstruction replaced without "
-                "set_trajectory(); position caches may be stale")
-        slot = self.slot_of(t)
-        cached = self._cache.get(slot)
-        if cached is None:
-            try:
-                cached = self._compute_slot(slot)
-            except ConfigurationError as exc:
-                cached = exc
-            self._cache[slot] = cached
-            while len(self._cache) > self.snapshot_cache_slots:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(slot)
-        if isinstance(cached, ConfigurationError):
-            raise cached
-        return cached
+    # -- outage injection (fleet-wide) --------------------------------
 
     def add_outage(self, sat_index: int, start_slot: int,
                    end_slot: int) -> None:
@@ -351,15 +320,13 @@ class SatelliteScheduler:
         Fault-injection hook (:mod:`repro.testing.faults`): an out
         satellite is skipped during candidate selection, forcing a
         handover at the outage boundary exactly as a failed bird
-        would. Cached snapshots inside the window are recomputed.
+        would. Cached slots inside the window are recomputed.
         """
         if end_slot <= start_slot:
             raise ConfigurationError(
                 f"outage window is empty: [{start_slot}, {end_slot})")
         self._outages.append((sat_index, start_slot, end_slot))
-        self.version += 1
-        for slot in range(start_slot, end_slot):
-            self._cache.pop(slot, None)
+        self._bump(start_slot, end_slot)
 
     def add_gateway_outage(self, gateway_name: str, start_slot: int,
                            end_slot: int) -> None:
@@ -369,7 +336,7 @@ class SatelliteScheduler:
         gateway is excluded from per-slot gateway selection, so paths
         re-plan through the remaining gateways — possibly moving the
         exit PoP, exactly as the paper's traceroutes would observe.
-        Cached snapshots inside the window are recomputed.
+        Cached slots inside the window are recomputed.
         """
         names = [gw.name for gw in self.gateways]
         if gateway_name not in names:
@@ -381,9 +348,12 @@ class SatelliteScheduler:
                 f"[{start_slot}, {end_slot})")
         self._gateway_outages.append(
             (names.index(gateway_name), start_slot, end_slot))
+        self._bump(start_slot, end_slot)
+
+    def _bump(self, start_slot: int, end_slot: int) -> None:
         self.version += 1
         for slot in range(start_slot, end_slot):
-            self._cache.pop(slot, None)
+            self._slot_cache.pop(slot, None)
 
     def _refresh_outage_index(self) -> None:
         if self._index_version == self.version:
@@ -410,78 +380,347 @@ class SatelliteScheduler:
                 if start <= slot < end)
         return self._gw_out_index.get(slot, _NO_OUTAGES)
 
-    def _is_out(self, sat_index: int, slot: int) -> bool:
-        return sat_index in self.out_sats_at(slot)
+    # -- queries ------------------------------------------------------
 
-    def _gw_is_out(self, gw_index: int, slot: int) -> bool:
-        return gw_index in self.out_gateways_at(slot)
+    def snapshot_at(self, index: int, t: float) -> PathSnapshot:
+        """Terminal ``index``'s path in force at time ``t``.
 
-    def _compute_slot(self, slot: int) -> PathSnapshot:
+        Unservable slots (no visible satellite/gateway pair — sparse
+        constellation, injected outages, or a full-sky obstruction)
+        raise :class:`ConfigurationError`; the error is cached like a
+        snapshot so a drive-through outage costs one geometry scan
+        per slot, not one per packet.
+        """
+        entry = self._slot_entries(self.slot_of(t))[index]
+        if isinstance(entry, ConfigurationError):
+            raise entry
+        return entry
+
+    def snapshots(self, t: float) -> list[PathSnapshot | None]:
+        """All terminals' paths at ``t``; ``None`` where unservable."""
+        return [entry if isinstance(entry, PathSnapshot) else None
+                for entry in self._slot_entries(self.slot_of(t))]
+
+    def user_counts(self, t: float) -> dict[int, int]:
+        """Served terminals per satellite index during ``t``'s slot."""
+        counts: dict[int, int] = {}
+        for entry in self._slot_entries(self.slot_of(t)):
+            if isinstance(entry, PathSnapshot):
+                counts[entry.sat_index] = \
+                    counts.get(entry.sat_index, 0) + 1
+        return counts
+
+    def capacity_share(self, index: int, t: float) -> float:
+        """Terminal ``index``'s fair share of its serving satellite.
+
+        ``1 / (terminals served by the same satellite this slot)`` —
+        the oversubscription knob the campaign's fleet mode feeds into
+        :class:`repro.leo.access.StarlinkAccess`'s ``capacity_share``.
+        """
+        snap = self.snapshot_at(index, t)
+        return 1.0 / self.user_counts(t)[snap.sat_index]
+
+    # -- the batched slot computation ---------------------------------
+
+    def _slot_entries(self, slot: int
+                      ) -> list[PathSnapshot | ConfigurationError]:
+        entries = self._slot_cache.get(slot)
+        if entries is None:
+            entries = self._compute_slot(slot)
+            self._slot_cache[slot] = entries
+            while len(self._slot_cache) > self.slot_cache_slots:
+                self._slot_cache.popitem(last=False)
+        else:
+            self._slot_cache.move_to_end(slot)
+        return entries
+
+    def _rows_at(self, slot: int
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-row ``(ecef, unit_up)`` lists in force during ``slot``."""
+        if not self.moving_rows:
+            return self._ut_ecef, self._ut_ups
+        grounds, ups = list(self._ut_ecef), list(self._ut_ups)
         t = slot * SLOT_DURATION
-        ut_ecef, ut_up = self._terminal_state(slot)
-        mask = (self.obstruction.mask_at(slot)
-                if self.obstruction is not None else None)
-        if mask is not None and mask.full_sky:
-            raise ConfigurationError(
-                f"sky fully obstructed at {self.terminal.name} at "
-                f"t={t} (overpass/tunnel slot)")
-        indices, elevations, ranges = self.constellation.visible_from(
-            ut_ecef, t, up=ut_up)
-        if indices.size == 0:
-            raise ConfigurationError(
-                f"no satellite visible from {self.terminal.name} at t={t}; "
-                "constellation too sparse for this latitude")
+        for i in self.moving_rows:
+            grounds[i] = self.trajectories[i].position_at(t).to_ecef()
+            ups[i] = unit_up(grounds[i])
+        return grounds, ups
+
+    def _cos_threshold(self, ground: np.ndarray, min_el: float) -> float:
+        """Prefilter cosine threshold of one ground site."""
+        psi = _max_central_angle_deg(
+            float(np.linalg.norm(ground)), self._max_radius,
+            min_el - self.prefilter_margin_deg)
+        # A hair of cosine slack on top of the 10-degree elevation
+        # margin; cos is decreasing, so lower threshold == more
+        # satellites kept.
+        return math.cos(math.radians(min(psi, 180.0))) - 1e-9
+
+    def _thresholds(self, min_el: float) -> np.ndarray:
+        """Per-row prefilter thresholds at construction-time positions,
+        recomputed only when the constellation's minimum elevation
+        changes."""
+        if self._cos_thresh is None or self._thresh_min_el != min_el:
+            self._cos_thresh = np.array(
+                [self._cos_threshold(g, min_el) for g in self._ut_ecef])
+            self._thresh_min_el = min_el
+        return self._cos_thresh
+
+    def _prefilter(self, positions: np.ndarray,
+                   grounds: list[np.ndarray], ups: list[np.ndarray],
+                   min_el: float) -> np.ndarray:
+        """(T, N) mask of the satellites each row's exact pass sees.
+
+        One (T, 3) x (3, N) pass bounds every satellite-terminal
+        central angle; moving rows swap in this slot's position.
+        """
+        units, thresh = self._ut_units, self._thresholds(min_el)
+        if self.moving_rows:
+            units, thresh = units.copy(), thresh.copy()
+            for i in self.moving_rows:
+                units[i] = ups[i]
+                thresh[i] = self._cos_threshold(grounds[i], min_el)
+        sat_units = positions * self._inv_radii[:, None]
+        keep = units @ sat_units.T >= thresh[:, None]
+        self.prefilter_kept += int(np.count_nonzero(keep))
+        self.prefilter_total += keep.size
+        return keep
+
+    def _compute_slot(self, slot: int
+                      ) -> list[PathSnapshot | ConfigurationError]:
+        t = slot * SLOT_DURATION
+        masks = [obstruction.mask_at(slot) if obstruction is not None
+                 else None for obstruction in self.obstructions]
+        entries: list[PathSnapshot | ConfigurationError | None] = [
+            ConfigurationError(
+                f"sky fully obstructed at {ut.name} at t={t} "
+                "(overpass/tunnel slot)")
+            if mask is not None and mask.full_sky else None
+            for ut, mask in zip(self.terminals, masks)]
+        if None not in entries:
+            # Every sky is blocked (an overpass over a lone dish):
+            # nothing to propagate.
+            return entries
         positions = self.constellation.positions(t)
+        min_el = self.constellation.min_elevation_deg
+        grounds, ups = self._rows_at(slot)
+        keep = (self._prefilter(positions, grounds, ups, min_el)
+                if self.prefilter else None)
         out_sats = (self.out_sats_at(slot) if self._outages
                     else _NO_OUTAGES)
+        out_gws = (self.out_gateways_at(slot)
+                   if self._gateway_outages else _NO_OUTAGES)
+        # Best-gateway choice per satellite, shared across terminals,
+        # paid once per distinct satellite actually walked. The
+        # memoised value is the full selection, valid slot-wide
+        # because the gateway outage set is fixed within a slot, and
+        # for moving rows too: gateway geometry relates satellites to
+        # gateways, never to terminal positions.
+        gw_memo: dict[int, tuple[int, float] | None] = {}
+        for i, entry in enumerate(entries):
+            if entry is None:
+                entries[i] = self._terminal_slot(
+                    i, slot, t, positions, min_el, grounds[i], ups[i],
+                    masks[i], keep[i] if keep is not None else None,
+                    out_sats, out_gws, gw_memo)
+        return entries
+
+    def _terminal_slot(self, i, slot, t, positions, min_el, ground, up,
+                       mask, keep_mask, out_sats, out_gws, gw_memo
+                       ) -> PathSnapshot | ConfigurationError:
+        if keep_mask is None:
+            indices, elevations, ranges = \
+                self.constellation.visible_from(ground, t, up=up)
+        else:
+            cand = np.nonzero(keep_mask)[0]
+            # Row-subset computation with the exact kernels the full
+            # visible_from pass uses: bit-identical on the subset.
+            elev, rng_m = elevation_and_range(ground, positions[cand],
+                                              up)
+            visible = elev >= min_el
+            indices = cand[visible]
+            if indices.size:
+                elevations = elev[visible]
+                ranges = rng_m[visible]
+                order = np.argsort(-elevations)
+                indices = indices[order]
+                elevations = elevations[order]
+                ranges = ranges[order]
+            else:
+                elevations = ranges = np.array([])
+        if indices.size == 0:
+            return ConfigurationError(
+                f"no satellite visible from {self.terminals[i].name} "
+                f"at t={t}; constellation too sparse for this latitude")
         candidates = []
-        for idx, elev, rng_m in zip(indices, elevations, ranges):
-            if int(idx) in out_sats:
+        for sat, elev_deg, rng_m in zip(indices.tolist(),
+                                        elevations.tolist(),
+                                        ranges.tolist()):
+            if sat in out_sats:
                 continue
             if mask is not None and mask.blocks(
-                    azimuth_angle(ut_ecef, positions[idx], up=ut_up),
-                    float(elev)):
+                    azimuth_angle(ground, positions[sat], up=up),
+                    elev_deg):
                 continue
-            gw_choice = self._best_gateway(positions[idx], slot)
+            if sat in gw_memo:
+                gw_choice = gw_memo[sat]
+            else:
+                gw_choice = select_gateway(
+                    *gateway_geometry(self._gw_ecef, self._gw_ups,
+                                      positions[sat]),
+                    out_gws)
+                gw_memo[sat] = gw_choice
             if gw_choice is None:
                 continue
             gw_pos_idx, gw_range = gw_choice
-            candidates.append((int(idx), float(elev), float(rng_m),
+            candidates.append((sat, float(elev_deg), float(rng_m),
                                gw_pos_idx, gw_range))
             if len(candidates) >= self.candidate_pool:
                 break
         if not candidates:
             if mask is not None:
-                raise ConfigurationError(
+                return ConfigurationError(
                     f"all visible satellites obstructed at t={t}")
-            raise ConfigurationError(
+            return ConfigurationError(
                 f"no visible satellite sees a gateway at t={t}")
-        rng = make_rng((self.seed, slot))
-        sat_idx, elev, ut_range, gw_idx, gw_range = rng.choice(candidates)
+        rng = make_rng((self.seeds[i], slot))
+        sat_idx, elev_deg, ut_range, gw_idx, gw_range = \
+            rng.choice(candidates)
         return PathSnapshot(
             slot=slot, sat_index=sat_idx, gateway=self.gateways[gw_idx],
-            ut_range_m=ut_range, gw_range_m=gw_range, elevation_deg=elev)
+            ut_range_m=ut_range, gw_range_m=gw_range,
+            elevation_deg=elev_deg)
 
-    def _best_gateway(self, sat_pos: np.ndarray, slot: int | None = None
-                      ) -> tuple[int, float] | None:
-        """Closest in-service gateway this satellite can serve."""
-        elevations, ranges = gateway_geometry(
-            self._gw_ecef, self._gw_ups, sat_pos)
-        out = (self.out_gateways_at(slot)
-               if self._gateway_outages and slot is not None
-               else _NO_OUTAGES)
-        return select_gateway(elevations, ranges, out)
+
+class SatelliteScheduler:
+    """One terminal's scheduler: a row of a :class:`FleetScheduler`.
+
+    ``SatelliteScheduler(constellation, terminal, gateways, ...)``
+    builds a one-row fleet; :meth:`for_row` views a row of a shared
+    fleet. Either way every query runs the fleet's slot computation.
+    Outages injected through a view are fleet-wide by design — a
+    failed satellite fails for every dish.
+    """
+
+    def __init__(self, constellation: Constellation,
+                 terminal: UserTerminal,
+                 gateways: list[GroundStation],
+                 seed: int = 0,
+                 candidate_pool: int = 4,
+                 trajectory=None,
+                 obstruction=None):
+        self.fleet = FleetScheduler(
+            constellation, [terminal], gateways, seeds=[seed],
+            candidate_pool=candidate_pool, trajectories=[trajectory],
+            obstructions=[obstruction])
+        self.index = 0
+
+    @classmethod
+    def for_row(cls, fleet: FleetScheduler,
+                index: int) -> "SatelliteScheduler":
+        """The view of row ``index`` of an existing fleet."""
+        if not 0 <= index < fleet.size:
+            raise ConfigurationError(
+                f"terminal index {index} outside fleet of {fleet.size}")
+        view = cls.__new__(cls)
+        view.fleet = fleet
+        view.index = index
+        return view
+
+    @property
+    def constellation(self) -> Constellation:
+        """The fleet's constellation."""
+        return self.fleet.constellation
+
+    @property
+    def terminal(self) -> UserTerminal:
+        """The viewed terminal."""
+        return self.fleet.terminals[self.index]
+
+    @property
+    def gateways(self) -> list[GroundStation]:
+        """The fleet's gateways."""
+        return self.fleet.gateways
+
+    @property
+    def seed(self) -> int:
+        """The terminal's selection seed."""
+        return self.fleet.seeds[self.index]
+
+    @property
+    def trajectory(self):
+        """The terminal's trajectory (None: a fixed dish)."""
+        return self.fleet.trajectories[self.index]
+
+    @property
+    def obstruction(self):
+        """The terminal's obstruction trace (None: a clear sky)."""
+        return self.fleet.obstructions[self.index]
+
+    @property
+    def mobile(self) -> bool:
+        """Whether the terminal moves between slots."""
+        return self.index in self.fleet.moving_rows
+
+    @property
+    def version(self) -> int:
+        """The fleet's invalidation counter."""
+        return self.fleet.version
+
+    def slot_of(self, t: float) -> int:
+        """Scheduler slot index containing time ``t``."""
+        return self.fleet.slot_of(t)
+
+    def snapshot(self, t: float) -> PathSnapshot:
+        """The path in force at time ``t`` (see
+        :meth:`FleetScheduler.snapshot_at`)."""
+        return self.fleet.snapshot_at(self.index, t)
+
+    def add_outage(self, sat_index: int, start_slot: int,
+                   end_slot: int) -> None:
+        """Fleet-wide satellite outage (see class docstring)."""
+        self.fleet.add_outage(sat_index, start_slot, end_slot)
+
+    def add_gateway_outage(self, gateway_name: str, start_slot: int,
+                           end_slot: int) -> None:
+        """Fleet-wide gateway outage (see class docstring)."""
+        self.fleet.add_gateway_outage(gateway_name, start_slot,
+                                      end_slot)
 
     def handover_events(self, start: float,
                         end: float) -> list[HandoverEvent]:
         """Every path-change boundary in ``[start, end)`` with kinds.
 
-        Unlike the pre-fix ``handover_times``, gateway and PoP
-        switches that leave the satellite unchanged are reported too
-        — they step the latency floor just like satellite handovers.
+        Gateway and PoP switches that leave the satellite unchanged
+        are reported too — they step the latency floor just like
+        satellite handovers. Unservable slots become ``service``
+        transitions rather than propagating their error.
         """
-        return scan_handover_events(self.snapshot, self.slot_of,
-                                    start, end)
+        def state_at(t: float):
+            try:
+                snap = self.snapshot(t)
+            except ConfigurationError:
+                return None
+            return (snap.sat_index, snap.gateway.name, snap.pop)
+
+        events: list[HandoverEvent] = []
+        previous = state_at(start)
+        slot = self.slot_of(start) + 1
+        while slot * SLOT_DURATION < end:
+            t = slot * SLOT_DURATION
+            current = state_at(t)
+            if current != previous:
+                if current is None or previous is None:
+                    kinds = {"service"}
+                else:
+                    # (satellite, gateway, pop): the first three kinds.
+                    kinds = {kind for kind, was, now
+                             in zip(HANDOVER_KINDS, previous, current)
+                             if was != now}
+                events.append(HandoverEvent(t=t, kinds=frozenset(kinds)))
+                previous = current
+            slot += 1
+        return events
 
     def handover_times(self, start: float, end: float) -> list[float]:
         """Slot boundaries where the serving path changes.
