@@ -71,6 +71,7 @@ import tracemalloc
 from repro.apps.speedtest import run_speedtest
 from repro.core.campaign import Campaign, CampaignConfig, quick_config
 from repro.exec.runner import (
+    ExecOptions,
     UnitTiming,
     default_workers,
     timing_breakdown,
@@ -147,18 +148,15 @@ SWEEP_WORKERS = (2, 4)
 
 
 def timed_run(config: CampaignConfig, workers: int,
-              granularity: int = 1,
-              shard_timings: list[UnitTiming] | None = None
-              ) -> tuple[str, float, list[UnitTiming]]:
-    """One full campaign; returns (digest, wall_s, unit timings)."""
-    campaign = Campaign(config)
-    timings: list[UnitTiming] = []
+              granularity: int = 1) -> tuple[str, float, Campaign]:
+    """One full campaign; returns (digest, wall_s, campaign), the
+    campaign holding the unit and shard timings."""
+    campaign = Campaign(config, ExecOptions(workers=workers,
+                                            granularity=granularity))
     began = time.perf_counter()
-    data = campaign.run_all(workers=workers, timings=timings,
-                            granularity=granularity,
-                            shard_timings=shard_timings)
+    data = campaign.run_all()
     wall_s = time.perf_counter() - began
-    return digest_dataset(data), wall_s, timings
+    return digest_dataset(data), wall_s, campaign
 
 
 def lpt_makespan(costs: list[float], workers: int) -> float:
@@ -199,12 +197,10 @@ def shard_sweep(config: CampaignConfig, serial_digest: str,
     for granularity in SWEEP_GRANULARITIES:
         if granularity == 1:
             continue
-        shard_timings: list[UnitTiming] = []
-        digest, wall_s, _ = timed_run(config, 1,
-                                      granularity=granularity,
-                                      shard_timings=shard_timings)
-        rows.append(sweep_row(granularity, shard_timings, wall_s,
-                              digest, serial_digest))
+        digest, wall_s, campaign = timed_run(config, 1,
+                                             granularity=granularity)
+        rows.append(sweep_row(granularity, campaign.shard_timings,
+                              wall_s, digest, serial_digest))
     at4 = [row["modeled"].get("workers=4", {}).get("speedup") or 0.0
            for row in rows]
     return {
@@ -431,9 +427,9 @@ def longitudinal_cell(days_: float) -> dict:
     cannot shed is bounded by the chunk, not the month.
     """
     streaming = Campaign(longitudinal_config(
-        days_, LONGITUDINAL_BUDGET_MB))
+        days_, LONGITUDINAL_BUDGET_MB), ExecOptions(granularity=10 ** 6))
     dataset, stream_wall, stream_peak = _traced(
-        lambda: streaming.run_pings_streaming(granularity=10 ** 6))
+        streaming.run_pings_streaming)
     batch = Campaign(longitudinal_config(days_))
     _, batch_wall, batch_peak = _traced(batch.run_pings)
     budget = streaming.streaming_budget()
@@ -465,8 +461,8 @@ def longitudinal() -> dict:
     rows = [longitudinal_cell(short), longitudinal_cell(short * 4)]
 
     digest_cfg = longitudinal_config(short)
-    streamed = Campaign(digest_cfg).run_pings_streaming(
-        workers=2, granularity=3)
+    streamed = Campaign(digest_cfg, ExecOptions(
+        workers=2, granularity=3)).run_pings_streaming()
     batch_digest = digest_dataset(Campaign(digest_cfg).run_pings())
     digest_match = digest_dataset(
         streamed.to_ping_dataset()) == batch_digest
@@ -579,16 +575,14 @@ def fleet_scaling() -> dict:
 
 def run_bench(workers: int, seed: int) -> dict:
     config = bench_config(seed)
-    serial_shards: list[UnitTiming] = []
-    serial_digest, serial_s, serial_timings = timed_run(
-        config, 1, shard_timings=serial_shards)
+    serial_digest, serial_s, serial = timed_run(config, 1)
     parallel_digest, parallel_s, _ = timed_run(config, workers)
     return {
         "benchmark": "campaign-executor",
         "seed": seed,
         "workers": workers,
         "cpu_count": default_workers(),
-        "units": len(serial_timings),
+        "units": len(serial.timings),
         "serial_wall_s": round(serial_s, 3),
         "parallel_wall_s": round(parallel_s, 3),
         "speedup": round(serial_s / parallel_s, 3),
@@ -596,14 +590,14 @@ def run_bench(workers: int, seed: int) -> dict:
         "dataset_digest": serial_digest,
         "before_after": before_after(serial_digest, serial_s, seed),
         "shard_sweep": shard_sweep(config, serial_digest, serial_s,
-                                   serial_shards),
+                                   serial.shard_timings),
         "cc_matrix": cc_matrix(),
         "longitudinal": longitudinal(),
         "fleet_scaling": fleet_scaling(),
         "unit_breakdown": [
             {key: round(val, 4) if isinstance(val, float) else val
              for key, val in row.items()}
-            for row in timing_breakdown(serial_timings)
+            for row in timing_breakdown(serial.timings)
         ],
     }
 

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.exec import Journal, execute_units
+from repro.exec import ExecOptions, Journal, execute_units
 from repro.testing.chaos import ChaosSpec, wrap_units
 from repro.testing.digest import digest_value
 from repro.units import minutes
@@ -46,7 +46,7 @@ def child(journal_dir: str, state_dir: str) -> None:
     victim = units[len(units) // 2].label
     wrapped = wrap_units(units, state_dir,
                          {victim: ChaosSpec(kill_on=(1,))})
-    execute_units(wrapped, workers=1, journal=Journal(journal_dir))
+    execute_units(wrapped, ExecOptions(journal=Journal(journal_dir)))
     raise SystemExit("chaos kill never fired")   # pragma: no cover
 
 
@@ -56,7 +56,7 @@ def main() -> int:
         return 0
 
     units = Campaign(smoke_config()).ping_units()
-    reference = digest_value(execute_units(units, workers=1))
+    reference = digest_value(execute_units(units))
 
     with tempfile.TemporaryDirectory() as tmp:
         journal_dir = str(Path(tmp) / "journal")
@@ -78,7 +78,7 @@ def main() -> int:
             return 1
 
         resumed = digest_value(
-            execute_units(units, workers=1, journal=journal))
+            execute_units(units, ExecOptions(journal=journal)))
         if resumed != reference:
             print("FAIL: resumed digest differs from the "
                   "uninterrupted reference")

@@ -29,6 +29,7 @@ import sys
 
 from repro.core.campaign import Campaign, quick_config
 from repro.errors import ConfigurationError
+from repro.exec import ExecOptions
 from repro.leo.constellation import Constellation
 from repro.leo.fleet import (
     FleetScheduler,
@@ -114,8 +115,8 @@ def main() -> int:
             f"{again_digest}) — the fleet campaign is not "
             "deterministic")
     sharded_digest = digest_value(
-        Campaign(fleet_campaign_config()).run_fleet(workers=2,
-                                                    granularity=3))
+        Campaign(fleet_campaign_config(),
+                 ExecOptions(workers=2, granularity=3)).run_fleet())
     print(f"t16 sharded: digest {sharded_digest[:16]}...")
     if sharded_digest != first_digest:
         failures.append(

@@ -30,6 +30,7 @@ import subprocess
 import sys
 
 from repro.core.campaign import Campaign, CampaignConfig
+from repro.exec import ExecOptions
 from repro.testing.digest import digest_dataset
 from repro.units import minutes
 
@@ -76,8 +77,8 @@ def main() -> int:
     for scenario in ("clear_sky", "rain_fade"):
         batch = digest_dataset(
             Campaign(smoke_config(scenario)).run_pings())
-        streamed = Campaign(smoke_config(scenario)).run_pings_streaming(
-            workers=2, granularity=3)
+        streamed = Campaign(smoke_config(scenario), ExecOptions(
+            workers=2, granularity=3)).run_pings_streaming()
         if digest_dataset(streamed.to_ping_dataset()) != batch:
             print(f"FAIL: streaming digest diverged from batch "
                   f"under {scenario!r}")

@@ -40,6 +40,7 @@ from repro.core.availability import analyze_availability, analyze_mobility
 from repro.core.campaign import Campaign, CampaignConfig, quick_config
 from repro.core.datasets import CampaignDatasets, PingDataset
 from repro.errors import ConfigurationError
+from repro.exec import ExecOptions
 from repro.leo.access import StarlinkPathModel
 from repro.leo.ground import STARLINK_GATEWAYS
 from repro.leo.mobility import drive_trajectory
@@ -112,8 +113,8 @@ def main() -> int:
             f"speed-0 drive serial digest {serial} does not match "
             f"the classic pin {CLASSIC_QUICK_PINGS_DIGEST} — "
             "mobility stopped being digest-neutral")
-    sharded = digest_value(Campaign(parked_config()).run_pings(
-        workers=2, granularity=4))
+    sharded = digest_value(Campaign(parked_config(), ExecOptions(
+        workers=2, granularity=4)).run_pings())
     print(f"parked sharded: digest {sharded[:16]}...")
     if sharded != CLASSIC_QUICK_PINGS_DIGEST:
         failures.append(

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from repro.core.campaign import Campaign, CampaignConfig
+from repro.exec import ExecOptions
 from repro.testing.digest import digest_dataset
 from repro.units import minutes
 
@@ -44,9 +45,8 @@ def smoke_config() -> CampaignConfig:
 
 
 def campaign_digest(workers: int, granularity: int) -> str:
-    campaign = Campaign(smoke_config())
-    return digest_dataset(campaign.run_all(workers=workers,
-                                           granularity=granularity))
+    options = ExecOptions(workers=workers, granularity=granularity)
+    return digest_dataset(Campaign(smoke_config(), options).run_all())
 
 
 def main() -> int:

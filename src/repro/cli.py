@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.core.availability import analyze_availability
 from repro.core.campaign import Campaign, CampaignConfig, quick_config
@@ -105,10 +106,10 @@ from repro.core.throughput import figure5_throughput
 from repro.disrupt.scenarios import scenario_names
 from repro.leo.mobility import OBSTRUCTION_KINDS, TRAJECTORY_KINDS
 from repro.transport.cc import CC_KINDS
-from repro.errors import JournalError, MemoryBudgetError
+from repro.errors import ConfigurationError, JournalError, MemoryBudgetError
 from repro.exec.journal import Journal
 from repro.exec.resources import RESOURCE_POLICIES
-from repro.exec.runner import FAILURE_POLICIES, UnitTiming, render_timings
+from repro.exec.runner import FAILURE_POLICIES, ExecOptions, render_timings
 from repro.units import minutes
 
 ARTEFACTS = ("table1", "fig1", "fig2", "fig3", "table2", "fig4",
@@ -133,6 +134,17 @@ ARTEFACT_DATASETS = {
     "mobility": ("pings", "speedtests", "bulk", "messages",
                  "visits"),
     "fleet": ("fleet",),
+}
+
+#: The campaign run behind each dataset ``run_artefact`` caches.
+DATASET_RUNS = {
+    "pings": Campaign.run_pings,
+    "pings_streaming": Campaign.run_pings_streaming,
+    "speedtests": Campaign.run_speedtests,
+    "bulk": Campaign.run_bulk,
+    "messages": Campaign.run_messages,
+    "visits": Campaign.run_web,
+    "fleet": Campaign.run_fleet,
 }
 
 #: Terminals the ``fleet`` artefact runs when fleet mode is enabled
@@ -190,134 +202,76 @@ def _emit(text: str) -> None:
     print()
 
 
-def run_artefact(name: str, campaign: Campaign, cache: dict,
-                 workers: int = 1,
-                 timings: list[UnitTiming] | None = None,
-                 profile_dir: str | None = None,
-                 exec_kwargs: dict | None = None) -> None:
+def run_artefact(name: str, campaign: Campaign, cache: dict) -> None:
     """Generate and print one artefact, reusing cached datasets.
 
-    ``exec_kwargs`` carries the crash-safety options (journal,
-    retries, unit timeout, failure policy) through to every campaign
-    run; with ``failure_policy="degrade"`` each artefact is followed
-    by a unit-coverage note naming the datasets it was derived from.
+    Every dataset runs under the campaign's execution options; when
+    those degrade on failure, each artefact is followed by a
+    unit-coverage note naming the datasets it was derived from.
     """
-    exec_kwargs = exec_kwargs or {}
 
-    def streaming_pings():
-        if "pings_streaming" not in cache:
-            cache["pings_streaming"] = campaign.run_pings_streaming(
-                workers=workers, timings=timings,
-                profile_dir=profile_dir, **exec_kwargs)
-        return cache["pings_streaming"]
-
-    def pings():
-        if "pings" not in cache:
-            if campaign.config.streaming_pings:
+    def dataset(key: str):
+        if key not in cache:
+            if key == "pings" and campaign.config.streaming_pings:
                 # Exact-mode reconstruction is bit-identical to the
                 # batch pipeline; once the budget has degraded a sink
                 # the raw series is gone and the sink says so.
-                cache["pings"] = streaming_pings().to_ping_dataset()
+                cache[key] = dataset("pings_streaming").to_ping_dataset()
             else:
-                cache["pings"] = campaign.run_pings(
-                    workers=workers, timings=timings,
-                    profile_dir=profile_dir, **exec_kwargs)
-        return cache["pings"]
+                cache[key] = DATASET_RUNS[key](campaign)
+        return cache[key]
 
-    def bulk():
-        if "bulk" not in cache:
-            cache["bulk"] = campaign.run_bulk(workers=workers,
-                                              timings=timings,
-                                              profile_dir=profile_dir,
-                                              **exec_kwargs)
-        return cache["bulk"]
-
-    def messages():
-        if "messages" not in cache:
-            cache["messages"] = campaign.run_messages(
-                workers=workers, timings=timings,
-                profile_dir=profile_dir, **exec_kwargs)
-        return cache["messages"]
-
-    def speedtests():
-        if "speedtests" not in cache:
-            cache["speedtests"] = campaign.run_speedtests(
-                workers=workers, timings=timings,
-                profile_dir=profile_dir, **exec_kwargs)
-        return cache["speedtests"]
-
-    def visits():
-        if "visits" not in cache:
-            cache["visits"] = campaign.run_web(workers=workers,
-                                               timings=timings,
-                                               profile_dir=profile_dir,
-                                               **exec_kwargs)
-        return cache["visits"]
-
-    def fleet():
-        if "fleet" not in cache:
-            cache["fleet"] = campaign.run_fleet(workers=workers,
-                                                timings=timings,
-                                                profile_dir=profile_dir,
-                                                **exec_kwargs)
-        return cache["fleet"]
+    def datasets() -> CampaignDatasets:
+        """Every dataset the artefact is derived from."""
+        return CampaignDatasets(**{key: dataset(key)
+                                   for key in ARTEFACT_DATASETS[name]})
 
     if name == "table1":
-        data = CampaignDatasets(pings=pings(), bulk=bulk(),
-                                messages=messages(),
-                                speedtests=speedtests(),
-                                visits=visits())
-        _emit(render_table1(data.table1_rows()))
+        _emit(render_table1(datasets().table1_rows()))
     elif name == "fig1":
-        _emit(render_figure1(figure1_rtt_boxplots(pings())))
+        _emit(render_figure1(figure1_rtt_boxplots(dataset("pings"))))
     elif name == "fig2":
-        _emit(render_figure2(figure2_timeseries(pings())))
+        _emit(render_figure2(figure2_timeseries(dataset("pings"))))
     elif name == "fig3":
-        _emit(render_figure3(figure3_loaded_rtt(bulk(), messages())))
+        _emit(render_figure3(figure3_loaded_rtt(dataset("bulk"),
+                                                dataset("messages"))))
     elif name == "table2":
-        _emit(render_table2(table2_loss_ratios(bulk(), messages())))
+        _emit(render_table2(table2_loss_ratios(dataset("bulk"),
+                                               dataset("messages"))))
     elif name == "fig4":
-        _emit(render_figure4(table2_loss_ratios(bulk(), messages())))
+        _emit(render_figure4(table2_loss_ratios(dataset("bulk"),
+                                                dataset("messages"))))
     elif name == "fig5":
-        _emit(render_figure5(figure5_throughput(speedtests(), bulk())))
+        _emit(render_figure5(figure5_throughput(dataset("speedtests"),
+                                                dataset("bulk"))))
     elif name == "fig6":
-        _emit(render_figure6(figure6_browsing(visits())))
+        _emit(render_figure6(figure6_browsing(dataset("visits"))))
     elif name == "availability":
         if campaign.config.streaming_pings:
             # Streaming-native: incremental counts straight from the
             # sinks, exact at every degradation stage. Bulk loss-burst
             # attribution needs the batch datasets and is omitted.
             _emit(render_availability(
-                streaming_pings().availability_report(
+                dataset("pings_streaming").availability_report(
                     scenario=campaign.config.scenario)))
         else:
-            data = CampaignDatasets(pings=pings(), bulk=bulk(),
-                                    messages=messages(),
-                                    speedtests=speedtests(),
-                                    visits=visits())
             _emit(render_availability(analyze_availability(
-                data, scenario=campaign.config.scenario)))
+                datasets(), scenario=campaign.config.scenario)))
     elif name == "mobility":
-        data = CampaignDatasets(pings=pings(), bulk=bulk(),
-                                messages=messages(),
-                                speedtests=speedtests(),
-                                visits=visits())
+        data = datasets()
         availability = analyze_availability(
             data, scenario=campaign.config.scenario)
         _emit(render_mobility(
             campaign.mobility_report(data, availability)))
     elif name == "fleet":
-        _emit(render_fleet(fleet()))
+        _emit(render_fleet(dataset("fleet")))
     elif name == "middlebox":
         _emit(render_middlebox(run_middlebox_study(
             seed=campaign.config.seed)))
     elif name == "errant":
         from repro.errant import fit_profiles, to_json
 
-        data = CampaignDatasets(pings=pings(),
-                                speedtests=speedtests(),
-                                messages=messages())
-        _emit(to_json(fit_profiles(data)))
+        _emit(to_json(fit_profiles(datasets())))
     else:  # pragma: no cover - guarded by argparse choices
         raise ValueError(f"unknown artefact {name!r}")
 
@@ -391,12 +345,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="campaign worker processes (default 1; "
                              "results are identical for any value)")
-    parser.add_argument("--shard-granularity", type=int, default=None,
+    parser.add_argument("--shard-granularity", type=int, default=1,
                         metavar="G",
                         help="split each splittable work unit into up "
                              "to G shards for work-stealing dispatch "
-                             "(default: the config's value, 1); "
-                             "results are identical for any value")
+                             "(default 1); results are identical for "
+                             "any value")
     parser.add_argument("--timing", action="store_true",
                         help="print a per-unit wall-clock breakdown")
     parser.add_argument("--profile", metavar="DIR", default=None,
@@ -448,16 +402,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(tracemalloc) and add a peak column to "
                              "--timing")
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.shard_granularity is not None \
-            and args.shard_granularity < 1:
-        parser.error(f"--shard-granularity must be >= 1, got "
-                     f"{args.shard_granularity}")
     if args.terminals is not None and args.terminals < 1:
         parser.error(f"--terminals must be >= 1, got {args.terminals}")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
     if args.speed_kmh is not None and not args.speed_kmh >= 0:
         parser.error(f"--speed-kmh must be >= 0, got "
                      f"{args.speed_kmh}")
@@ -476,28 +422,25 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--memory-budget-mb must be positive, got "
                      f"{args.memory_budget_mb}")
 
-    journal = None
-    if args.journal is not None:
-        try:
-            journal = Journal(args.journal, resume=args.resume)
-        except JournalError as exc:
-            parser.error(str(exc))
-        if len(journal):
-            print(f"journal: resuming, {len(journal)} unit(s) "
-                  "already completed\n")
+    try:
+        options = ExecOptions(
+            workers=args.workers, granularity=args.shard_granularity,
+            retries=args.retries, retry_backoff_s=args.retry_backoff,
+            unit_timeout=args.unit_timeout,
+            failure_policy=args.failure_policy,
+            profile_dir=args.profile, track_memory=args.track_memory)
+        # Open (and create) the journal only once the options hold.
+        if args.journal is not None:
+            options = replace(options, journal=Journal(
+                args.journal, resume=args.resume))
+    except (ConfigurationError, JournalError) as exc:
+        parser.error(str(exc))
+    if options.journal is not None and len(options.journal):
+        print(f"journal: resuming, {len(options.journal)} unit(s) "
+              "already completed\n")
 
-    campaign = Campaign(_build_config(args))
+    campaign = Campaign(_build_config(args), options)
     cache: dict = {}
-    timings: list[UnitTiming] = []
-    exec_kwargs = {
-        "journal": journal,
-        "retries": args.retries,
-        "retry_backoff_s": args.retry_backoff,
-        "unit_timeout": args.unit_timeout,
-        "failure_policy": args.failure_policy,
-        "granularity": args.shard_granularity,
-        "track_memory": args.track_memory,
-    }
     if args.artefact == "all":
         # Fleet mode is opt-in: 'all' keeps its historical output
         # unless --fleet asks for the extra artefact.
@@ -508,9 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         names = [args.artefact]
     try:
         for name in names:
-            run_artefact(name, campaign, cache, workers=args.workers,
-                         timings=timings, profile_dir=args.profile,
-                         exec_kwargs=exec_kwargs)
+            run_artefact(name, campaign, cache)
     except MemoryBudgetError as exc:
         # The governor ran out of ladder (or policy='raise' chose to
         # stop early). Completed units are already journaled, so the
@@ -518,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"memory budget exhausted: {exc}", file=sys.stderr)
         return 3
     if args.timing:
-        _emit(render_timings(timings))
+        _emit(render_timings(campaign.timings))
     report = campaign.degradation_report()
     if report.degraded:
         _emit(render_degradation(report))

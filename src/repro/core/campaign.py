@@ -18,7 +18,8 @@ sampled across the campaign rather than at every half-hour slot.
 Execution model: every measurement is an independent, seeded work
 unit (:mod:`repro.exec.units`). The ``*_units`` methods build the
 ordered unit lists; the ``run_*`` methods execute them through
-:func:`repro.exec.execute_units` and merge payloads back in unit
+:func:`repro.exec.execute_units` under the campaign's
+:class:`~repro.exec.ExecOptions` and merge payloads back in unit
 order, so ``workers=1`` (in-process, the degenerate case) and
 ``workers=N`` produce bit-identical datasets.
 """
@@ -40,10 +41,10 @@ from repro.core.datasets import (
 )
 from repro.disrupt.scenarios import scenario_names
 from repro.errors import ConfigurationError
-from repro.exec.journal import Journal
 from repro.exec.resources import RESOURCE_POLICIES, ResourceBudget
 from repro.exec.runner import (
     DegradationReport,
+    ExecOptions,
     UnitFailure,
     UnitTiming,
     execute_units,
@@ -129,11 +130,6 @@ class CampaignConfig:
     #: Per-visit watchdog: visits whose onload exceeds it are
     #: classified ``timed_out`` (metrics still recorded).
     web_visit_deadline_s: float = 60.0
-    #: Default shard granularity for the executor: each splittable
-    #: unit is cut into at most this many shards (1 = whole units).
-    #: Output is bit-identical for every granularity; see
-    #: :mod:`repro.exec.sharding`.
-    shard_granularity: int = 1
     #: Ping rounds per series atom (each chunk has its own derived
     #: RNG stream, so chunk boundaries never split a stream).
     ping_shard_rounds: int = 64
@@ -211,8 +207,7 @@ class CampaignConfig:
                      "speedtest_connections", "bulk_per_direction",
                      "bulk_bytes", "messages_per_direction",
                      "web_sites", "web_visits_per_site",
-                     "shard_granularity", "ping_shard_rounds",
-                     "bulk_segment_bytes"):
+                     "ping_shard_rounds", "bulk_segment_bytes"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(
@@ -268,9 +263,15 @@ class CampaignConfig:
 
 @dataclass
 class Campaign:
-    """Runs the measurement campaign over the simulated accesses."""
+    """Runs the measurement campaign over the simulated accesses.
+
+    ``options`` decides how every ``run_*`` method executes its work
+    units (workers, shards, journal, retries, failure policy); no
+    option changes a dataset byte.
+    """
 
     config: CampaignConfig = field(default_factory=CampaignConfig)
+    options: ExecOptions = field(default_factory=ExecOptions)
 
     def __post_init__(self) -> None:
         # The process's shared model state for this config: serial
@@ -287,6 +288,10 @@ class Campaign:
         #: summarised by :meth:`degradation_report`.
         self._dataset_failures: dict[str, list[UnitFailure]] = {}
         self._coverage: dict[str, tuple[int, int]] = {}
+        #: Wall clock of every unit (and of every shard) this campaign
+        #: has run, in execution order.
+        self.timings: list[UnitTiming] = []
+        self.shard_timings: list[UnitTiming] = []
 
     # -- epoch helpers -----------------------------------------------------
 
@@ -405,64 +410,44 @@ class Campaign:
 
     # -- execution ---------------------------------------------------------
     #
-    # Every run_* method shares the crash-safety keywords of
-    # :func:`repro.exec.execute_units`: ``journal`` checkpoints each
-    # completed unit (kill the process at any instant and resume
-    # digest-identically), ``retries``/``retry_backoff_s`` bound
-    # deterministic re-attempts, ``unit_timeout`` caps one attempt's
-    # wall clock, and ``failure_policy="degrade"`` finishes with
-    # partial datasets — the lost units are reported through
+    # Every run_* method executes under ``self.options``: a journal
+    # checkpoints each completed unit (kill the process at any instant
+    # and resume digest-identically), retries with backoff bound
+    # deterministic re-attempts, a unit timeout caps one attempt's wall
+    # clock, and the "degrade" failure policy finishes with partial
+    # datasets — the lost units are reported through
     # :meth:`degradation_report`.
 
-    def _granularity(self, granularity: int | None) -> int:
-        return (self.config.shard_granularity if granularity is None
-                else granularity)
+    def _execute(self, *groups: tuple[str, list[WorkUnit]]
+                 ) -> list[list]:
+        """Run every ``(dataset, units)`` group in one executor pass.
 
-    def _execute(self, dataset: str, units, workers, timings,
-                 profile_dir, journal, retries, retry_backoff_s,
-                 unit_timeout, failure_policy,
-                 granularity=None, shard_timings=None,
-                 track_memory=False) -> list:
-        failures: list[UnitFailure] = []
-        payloads = execute_units(
-            units, workers, timings, profile_dir, journal=journal,
-            retries=retries, retry_backoff_s=retry_backoff_s,
-            unit_timeout=unit_timeout, failure_policy=failure_policy,
-            failures=failures,
-            granularity=self._granularity(granularity),
-            shard_timings=shard_timings, track_memory=track_memory)
-        kept = [p for p in payloads
-                if not isinstance(p, UnitFailure)]
-        self._dataset_failures[dataset] = failures
-        self._coverage[dataset] = (len(kept), len(units))
-        return kept
+        Returns each group's completed payloads in unit order, and
+        records the group's coverage and lost units under its dataset
+        name.
+        """
+        units = [unit for _, group in groups for unit in group]
+        payloads = execute_units(units, self.options,
+                                 timings=self.timings,
+                                 shard_timings=self.shard_timings)
+        kept_groups = []
+        cursor = 0
+        for name, group in groups:
+            chunk = payloads[cursor:cursor + len(group)]
+            cursor += len(group)
+            kept = [p for p in chunk if not isinstance(p, UnitFailure)]
+            self._dataset_failures[name] = [
+                p for p in chunk if isinstance(p, UnitFailure)]
+            self._coverage[name] = (len(kept), len(group))
+            kept_groups.append(kept)
+        return kept_groups
 
-    def run_pings(self, workers: int = 1,
-                  timings: list[UnitTiming] | None = None,
-                  profile_dir: str | None = None, *,
-                  journal: Journal | None = None, retries: int = 0,
-                  retry_backoff_s: float = 0.0,
-                  unit_timeout: float | None = None,
-                  failure_policy: str = "raise",
-                  granularity: int | None = None,
-                  track_memory: bool = False) -> PingDataset:
+    def run_pings(self) -> PingDataset:
         """Five-month idle-latency series toward the 11 anchors."""
-        return self._merge_pings(self._execute(
-            "pings", self.ping_units(), workers, timings, profile_dir,
-            journal, retries, retry_backoff_s, unit_timeout,
-            failure_policy, granularity, track_memory=track_memory))
+        [series] = self._execute(("pings", self.ping_units()))
+        return self._merge_pings(series)
 
-    def run_pings_streaming(self, workers: int = 1,
-                            timings: list[UnitTiming] | None = None,
-                            profile_dir: str | None = None, *,
-                            journal: Journal | None = None,
-                            retries: int = 0,
-                            retry_backoff_s: float = 0.0,
-                            unit_timeout: float | None = None,
-                            failure_policy: str = "raise",
-                            granularity: int | None = None,
-                            track_memory: bool = False
-                            ) -> StreamingPingDataset:
+    def run_pings_streaming(self) -> StreamingPingDataset:
         """The ping campaign through constant-memory sinks.
 
         Shard payloads are partial :class:`~repro.core.datasets.
@@ -477,98 +462,37 @@ class Campaign:
         :class:`~repro.errors.MemoryBudgetError` with every completed
         unit already checkpointed in the journal.
         """
-        sinks = self._execute(
-            "pings", self.streaming_ping_units(), workers, timings,
-            profile_dir, journal, retries, retry_backoff_s,
-            unit_timeout, failure_policy, granularity,
-            track_memory=track_memory)
+        [sinks] = self._execute(("pings", self.streaming_ping_units()))
         dataset = StreamingPingDataset(budget=self.streaming_budget())
         for sink in sinks:
             dataset.add_sink(sink)
         return dataset
 
-    def run_speedtests(self, workers: int = 1,
-                       timings: list[UnitTiming] | None = None,
-                       profile_dir: str | None = None, *,
-                       journal: Journal | None = None,
-                       retries: int = 0, retry_backoff_s: float = 0.0,
-                       unit_timeout: float | None = None,
-                       failure_policy: str = "raise",
-                       granularity: int | None = None,
-                       track_memory: bool = False
-                       ) -> list[SpeedtestSample]:
+    def run_speedtests(self) -> list[SpeedtestSample]:
         """Ookla-like tests on Starlink and SatCom (Fig. 5a/5b)."""
-        return self._execute(
-            "speedtests", self.speedtest_units(), workers, timings,
-            profile_dir, journal, retries, retry_backoff_s,
-            unit_timeout, failure_policy, granularity,
-            track_memory=track_memory)
+        [samples] = self._execute(("speedtests", self.speedtest_units()))
+        return samples
 
-    def run_bulk(self, workers: int = 1,
-                 timings: list[UnitTiming] | None = None,
-                 profile_dir: str | None = None, *,
-                 journal: Journal | None = None, retries: int = 0,
-                 retry_backoff_s: float = 0.0,
-                 unit_timeout: float | None = None,
-                 failure_policy: str = "raise",
-                 granularity: int | None = None,
-                 track_memory: bool = False) -> list[BulkSample]:
+    def run_bulk(self) -> list[BulkSample]:
         """H3 transfers in both directions and both sessions."""
-        return self._execute(
-            "bulk", self.bulk_units(), workers, timings, profile_dir,
-            journal, retries, retry_backoff_s, unit_timeout,
-            failure_policy, granularity, track_memory=track_memory)
+        [samples] = self._execute(("bulk", self.bulk_units()))
+        return samples
 
-    def run_messages(self, workers: int = 1,
-                     timings: list[UnitTiming] | None = None,
-                     profile_dir: str | None = None, *,
-                     journal: Journal | None = None, retries: int = 0,
-                     retry_backoff_s: float = 0.0,
-                     unit_timeout: float | None = None,
-                     failure_policy: str = "raise",
-                     granularity: int | None = None,
-                     track_memory: bool = False
-                     ) -> list[MessagesSample]:
+    def run_messages(self) -> list[MessagesSample]:
         """Low-bitrate message runs in both directions."""
-        return self._execute(
-            "messages", self.messages_units(), workers, timings,
-            profile_dir, journal, retries, retry_backoff_s,
-            unit_timeout, failure_policy, granularity,
-            track_memory=track_memory)
+        [samples] = self._execute(("messages", self.messages_units()))
+        return samples
 
-    def run_web(self, workers: int = 1,
-                timings: list[UnitTiming] | None = None,
-                profile_dir: str | None = None, *,
-                journal: Journal | None = None, retries: int = 0,
-                retry_backoff_s: float = 0.0,
-                unit_timeout: float | None = None,
-                failure_policy: str = "raise",
-                granularity: int | None = None,
-                track_memory: bool = False) -> list[VisitSample]:
+    def run_web(self) -> list[VisitSample]:
         """Browser visits over Starlink, SatCom and wired (Fig. 6)."""
-        rounds = self._execute(
-            "visits", self.web_units(), workers, timings, profile_dir,
-            journal, retries, retry_backoff_s, unit_timeout,
-            failure_policy, granularity, track_memory=track_memory)
-        return [visit for round_visits in rounds
-                for visit in round_visits]
+        [rounds] = self._execute(("visits", self.web_units()))
+        return self._merge_visits(rounds)
 
-    def run_fleet(self, workers: int = 1,
-                  timings: list[UnitTiming] | None = None,
-                  profile_dir: str | None = None, *,
-                  journal: Journal | None = None, retries: int = 0,
-                  retry_backoff_s: float = 0.0,
-                  unit_timeout: float | None = None,
-                  failure_policy: str = "raise",
-                  granularity: int | None = None,
-                  track_memory: bool = False) -> FleetDataset:
+    def run_fleet(self) -> FleetDataset:
         """Fleet campaign: per-terminal series on one constellation."""
-        kept = self._execute(
-            "fleet", self.fleet_units(), workers, timings, profile_dir,
-            journal, retries, retry_backoff_s, unit_timeout,
-            failure_policy, granularity, track_memory=track_memory)
+        [series] = self._execute(("fleet", self.fleet_units()))
         return FleetDataset(
-            terminals=sorted(kept, key=lambda r: r.index))
+            terminals=sorted(series, key=lambda r: r.index))
 
     @staticmethod
     def _merge_pings(payloads) -> PingDataset:
@@ -578,10 +502,15 @@ class Campaign:
             dataset.outcomes[name] = outcome
         return dataset
 
+    @staticmethod
+    def _merge_visits(rounds) -> list[VisitSample]:
+        return [visit for round_visits in rounds
+                for visit in round_visits]
+
     def degradation_report(self) -> DegradationReport:
         """Coverage and failures accumulated by the latest runs.
 
-        With ``failure_policy="raise"`` (the default) a report with an
+        Under the default "raise" failure policy a report with an
         empty ``failures`` list simply confirms full coverage; under
         ``"degrade"`` it names every unit the datasets are missing, so
         derived figures can state what they were computed from.
@@ -635,58 +564,27 @@ class Campaign:
 
     # -- everything --------------------------------------------------------
 
-    def run_all(self, workers: int = 1,
-                timings: list[UnitTiming] | None = None,
-                profile_dir: str | None = None, *,
-                journal: Journal | None = None, retries: int = 0,
-                retry_backoff_s: float = 0.0,
-                unit_timeout: float | None = None,
-                failure_policy: str = "raise",
-                granularity: int | None = None,
-                shard_timings: list[UnitTiming] | None = None,
-                track_memory: bool = False
-                ) -> CampaignDatasets:
+    def run_all(self) -> CampaignDatasets:
         """Run every dataset of Table 1.
 
         All work units go through one executor pass, so with
         ``workers=N`` the pool stays busy across dataset boundaries
         (a long ping series overlaps with short web rounds instead of
-        serialising behind them). Under ``failure_policy="degrade"``
+        serialising behind them). Under the "degrade" failure policy
         the returned datasets are partial — merge simply skips lost
         units — and :meth:`degradation_report` states the per-dataset
         unit coverage.
         """
-        groups: list[tuple[str, list[WorkUnit]]] = [
+        pings, speedtests, bulk, messages, rounds = self._execute(
             ("pings", self.ping_units()),
             ("speedtests", self.speedtest_units()),
             ("bulk", self.bulk_units()),
             ("messages", self.messages_units()),
-            ("visits", self.web_units()),
-        ]
-        units = [unit for _, group in groups for unit in group]
-        payloads = execute_units(
-            units, workers, timings, profile_dir, journal=journal,
-            retries=retries, retry_backoff_s=retry_backoff_s,
-            unit_timeout=unit_timeout, failure_policy=failure_policy,
-            granularity=self._granularity(granularity),
-            shard_timings=shard_timings, track_memory=track_memory)
-        data = CampaignDatasets()
-        cursor = 0
-        for name, group in groups:
-            chunk = payloads[cursor:cursor + len(group)]
-            cursor += len(group)
-            kept = [p for p in chunk if not isinstance(p, UnitFailure)]
-            self._dataset_failures[name] = [
-                p for p in chunk if isinstance(p, UnitFailure)]
-            self._coverage[name] = (len(kept), len(group))
-            if name == "pings":
-                data.pings = self._merge_pings(kept)
-            elif name == "visits":
-                data.visits = [visit for round_visits in kept
-                               for visit in round_visits]
-            else:
-                setattr(data, name, kept)
-        return data
+            ("visits", self.web_units()))
+        return CampaignDatasets(
+            pings=self._merge_pings(pings), speedtests=speedtests,
+            bulk=bulk, messages=messages,
+            visits=self._merge_visits(rounds))
 
 
 def quick_config(seed: int = 0) -> CampaignConfig:

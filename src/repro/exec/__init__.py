@@ -12,7 +12,8 @@ checkpoints every completed unit atomically (kill the run at any
 instant and resume digest-identically), unit exceptions / worker
 deaths / timeouts become structured :class:`UnitFailure` records with
 bounded deterministic retry, and ``failure_policy="degrade"`` finishes
-with partial output plus a :class:`DegradationReport`.
+with partial output plus a :class:`DegradationReport`. Every such knob
+is a field of one frozen, once-validated :class:`ExecOptions`.
 ``tests/exec/`` pins every recovery path with the chaos harness in
 :mod:`repro.testing.chaos`.
 """
@@ -38,6 +39,7 @@ from repro.exec.sharding import (
 from repro.exec.runner import (
     FAILURE_POLICIES,
     DegradationReport,
+    ExecOptions,
     UnitFailure,
     UnitTiming,
     default_workers,
@@ -63,6 +65,7 @@ __all__ = [
     "BulkUnit",
     "CampaignUnit",
     "DegradationReport",
+    "ExecOptions",
     "FAILURE_POLICIES",
     "FleetTerminalUnit",
     "Journal",

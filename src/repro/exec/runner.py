@@ -1,7 +1,7 @@
 """Work-unit executor: serial or process-parallel, identical output.
 
-The contract is strict: ``execute_units(units, workers=N,
-granularity=g)`` returns payloads in the order the units were given,
+The contract is strict: ``execute_units(units, ExecOptions(workers=N,
+granularity=g))`` returns payloads in the order the units were given,
 bit-identical for every ``(N, g)``. Serial execution (``workers=1``)
 is the degenerate case — it calls the same task code path a pool
 worker uses, so there is no separate serial implementation to drift.
@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError, UnitExecutionError
+from repro.exec.journal import Journal
 from repro.exec.sharding import (UnitShard, is_streaming_unit,
                                  plan_shards, task_cost)
 
@@ -70,6 +71,58 @@ _POLL_S = 0.05
 
 #: Accepted ``failure_policy`` values.
 FAILURE_POLICIES = ("raise", "degrade")
+
+
+@dataclass(frozen=True)
+class ExecOptions:
+    """How :func:`execute_units` runs a batch of work units.
+
+    One frozen value shared by :class:`~repro.core.campaign.Campaign`,
+    :func:`execute_units` and the CLI, validated once at construction.
+    No field changes a payload; each only decides where, how often and
+    under what bookkeeping a unit runs (see :func:`execute_units`).
+    """
+
+    #: Worker processes; 1 runs every unit in-process.
+    workers: int = 1
+    #: Shards per splittable unit (1 = whole units).
+    granularity: int = 1
+    #: Checkpoint store: journaled units are loaded, not re-run.
+    journal: Journal | None = None
+    #: Extra attempts per failing unit, after exponential backoff
+    #: ``retry_backoff_s * 2**(k-1)``.
+    retries: int = 0
+    retry_backoff_s: float = 0.0
+    #: Wall-clock budget of one attempt (forces a worker process).
+    unit_timeout: float | None = None
+    #: ``"raise"`` or ``"degrade"`` (see :data:`FAILURE_POLICIES`).
+    failure_policy: str = "raise"
+    #: Dump one cProfile ``*.pstats`` file per unit into this directory.
+    profile_dir: str | None = None
+    #: Record each unit's tracemalloc peak in ``UnitTiming.peak_kb``.
+    track_memory: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("workers", "granularity"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {value!r}")
+        if self.retries < 0:
+            raise ConfigurationError(
+                f"retries must be >= 0, got {self.retries!r}")
+        if not self.retry_backoff_s >= 0:   # also rejects NaN
+            raise ConfigurationError(
+                f"retry_backoff_s must be >= 0, got "
+                f"{self.retry_backoff_s!r}")
+        if self.unit_timeout is not None and not self.unit_timeout > 0:
+            raise ConfigurationError(
+                f"unit_timeout must be positive, got "
+                f"{self.unit_timeout!r}")
+        if self.failure_policy not in FAILURE_POLICIES:
+            raise ConfigurationError(
+                f"failure_policy must be one of {FAILURE_POLICIES}, "
+                f"got {self.failure_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +144,8 @@ class UnitFailure:
     """Structured record of one unit that exhausted its attempts.
 
     Under ``failure_policy="degrade"`` these take the failed unit's
-    place in the payload list (and in the ``failures`` out-parameter),
-    so callers can both skip and report them.
+    place in the payload list, so callers can both skip and report
+    them.
 
     When the failing task was a shard of a splittable unit, ``label``
     still names the *parent* unit (one failure record stands for the
@@ -178,8 +231,8 @@ def _failure_for(runnable, error_type: str, message: str, tb: str,
                        traceback=tb, attempts=attempts)
 
 
-def _run_one(unit, profile_dir: str | None = None, index: int = 0,
-             track_memory: bool = False) -> tuple[object, UnitTiming]:
+def _run_one(unit, index: int, profile_dir: str | None,
+             track_memory: bool) -> tuple[object, UnitTiming]:
     profiler = None
     if profile_dir is not None:
         profiler = cProfile.Profile()
@@ -216,11 +269,15 @@ def _run_one(unit, profile_dir: str | None = None, index: int = 0,
                                elapsed_s=elapsed, peak_kb=peak_kb)
 
 
-def _pool_run_one(unit, profile_dir: str | None, index: int,
-                  track_memory: bool = False) -> tuple:
-    """Worker-side wrapper: exceptions become data, never pool poison."""
+def _pool_run_one(unit, index: int, profile_dir: str | None,
+                  track_memory: bool) -> tuple:
+    """Worker-side wrapper: exceptions become data, never pool poison.
+
+    A task ships only the two options the unit's own process needs;
+    the journal stays with the supervisor, which records results.
+    """
     try:
-        payload, timing = _run_one(unit, profile_dir, index,
+        payload, timing = _run_one(unit, index, profile_dir,
                                    track_memory)
     except Exception as exc:
         return ("err", type(exc).__name__, str(exc),
@@ -251,22 +308,14 @@ class _PoolSupervisor:
     by index makes the output independent of scheduling.
     """
 
-    def __init__(self, todo: list[tuple[int, object]], workers: int,
-                 profile_dir: str | None, retries: int,
-                 retry_backoff_s: float, unit_timeout: float | None,
-                 failure_policy: str,
-                 record_ok: Callable[[int, object, UnitTiming], object],
-                 track_memory: bool = False):
+    def __init__(self, todo: list[tuple[int, object]],
+                 options: ExecOptions,
+                 record_ok: Callable[[int, object, UnitTiming], object]):
         self.pending = [(i, u, 1) for i, u in todo]  # attempt to run next
         self.costs = {i: task_cost(u) for i, u in todo}
-        self.workers = workers
-        self.profile_dir = profile_dir
-        self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
-        self.unit_timeout = unit_timeout
-        self.failure_policy = failure_policy
+        self.workers = min(options.workers, len(todo))
+        self.options = options
         self.record_ok = record_ok
-        self.track_memory = track_memory
         self.ready_at: dict[int, float] = {}   # backoff gates by index
         self.inflight: dict = {}               # future -> (i, unit, attempt, t0)
         self.outcomes: dict[int, object] = {}
@@ -301,9 +350,9 @@ class _PoolSupervisor:
                                       -self.pending[k][0]))
             index, unit, attempt = self.pending.pop(slot)
             try:
-                future = self.pool.submit(_pool_run_one, unit,
-                                          self.profile_dir, index,
-                                          self.track_memory)
+                future = self.pool.submit(
+                    _pool_run_one, unit, index,
+                    self.options.profile_dir, self.options.track_memory)
             except _cf.BrokenExecutor:
                 # Pool died between reaps; put the unit back and let
                 # the reap path drain the doomed futures and rebuild.
@@ -355,7 +404,7 @@ class _PoolSupervisor:
                                      type(exc).__name__, str(exc), "")
         if broken:
             self._rebuild_after_break()
-        elif self.unit_timeout is not None and self.inflight:
+        elif self.options.unit_timeout is not None and self.inflight:
             self._enforce_timeout()
 
     def _rebuild_after_break(self) -> None:
@@ -372,10 +421,11 @@ class _PoolSupervisor:
         self.pool = ProcessPoolExecutor(max_workers=self.workers)
 
     def _enforce_timeout(self) -> None:
+        budget = self.options.unit_timeout
         now = time.monotonic()
         expired = {future for future, (_, _, _, t0)
                    in self.inflight.items()
-                   if now - t0 > self.unit_timeout and not future.done()}
+                   if now - t0 > budget and not future.done()}
         if not expired:
             return
         # A single worker cannot be killed through the pool API, so
@@ -386,7 +436,7 @@ class _PoolSupervisor:
             if future in expired:
                 self._attempt_failed(
                     index, unit, attempt, "UnitTimeout",
-                    f"unit exceeded the {self.unit_timeout:.6g}s "
+                    f"unit exceeded the {budget:.6g}s "
                     "wall-clock budget", "")
             else:
                 self.pending.append((index, unit, attempt))
@@ -396,13 +446,13 @@ class _PoolSupervisor:
 
     def _attempt_failed(self, index: int, unit, attempt: int,
                         error_type: str, message: str, tb: str) -> None:
-        if attempt <= self.retries:
+        if attempt <= self.options.retries:
             self.ready_at[index] = time.monotonic() + _backoff_s(
-                self.retry_backoff_s, attempt)
+                self.options.retry_backoff_s, attempt)
             self.pending.append((index, unit, attempt + 1))
             return
         failure = _failure_for(unit, error_type, message, tb, attempt)
-        if self.failure_policy == "raise":
+        if self.options.failure_policy == "raise":
             raise UnitExecutionError(
                 f"{_describe_task(unit)} failed after {attempt} "
                 f"attempt(s): {error_type}: {message}")
@@ -447,24 +497,24 @@ _REDUCED = "<reduced>"
 
 
 def _execute_serial(todo: list[tuple[int, object]],
-                    profile_dir: str | None, retries: int,
-                    retry_backoff_s: float, failure_policy: str,
-                    record_ok: Callable[[int, object, UnitTiming], object],
-                    track_memory: bool = False) -> dict[int, object]:
+                    options: ExecOptions,
+                    record_ok: Callable[[int, object, UnitTiming], object]
+                    ) -> dict[int, object]:
     outcomes: dict[int, object] = {}
     for index, unit in todo:
         attempt = 1
         while True:
             try:
-                payload, timing = _run_one(unit, profile_dir, index,
-                                           track_memory)
+                payload, timing = _run_one(unit, index,
+                                           options.profile_dir,
+                                           options.track_memory)
             except KeyboardInterrupt:
                 # Completed units are already journaled (stores are
                 # per-unit and atomic), so the run is resumable as-is.
                 raise
             except Exception as exc:
-                if attempt <= retries:
-                    delay = _backoff_s(retry_backoff_s, attempt)
+                if attempt <= options.retries:
+                    delay = _backoff_s(options.retry_backoff_s, attempt)
                     if delay > 0:
                         time.sleep(delay)
                     attempt += 1
@@ -472,7 +522,7 @@ def _execute_serial(todo: list[tuple[int, object]],
                 failure = _failure_for(
                     unit, type(exc).__name__, str(exc),
                     traceback.format_exc(), attempt)
-                if failure_policy == "raise":
+                if options.failure_policy == "raise":
                     raise UnitExecutionError(
                         f"{_describe_task(unit)} failed after "
                         f"{attempt} attempt(s): "
@@ -486,19 +536,13 @@ def _execute_serial(todo: list[tuple[int, object]],
     return outcomes
 
 
-def execute_units(units: Sequence, workers: int = 1,
+def execute_units(units: Sequence,
+                  options: ExecOptions = ExecOptions(), *,
                   timings: list[UnitTiming] | None = None,
-                  profile_dir: str | None = None, *,
-                  journal=None, retries: int = 0,
-                  retry_backoff_s: float = 0.0,
-                  unit_timeout: float | None = None,
-                  failure_policy: str = "raise",
-                  failures: list[UnitFailure] | None = None,
-                  granularity: int = 1,
-                  shard_timings: list[UnitTiming] | None = None,
-                  track_memory: bool = False
+                  shard_timings: list[UnitTiming] | None = None
                   ) -> list:
-    """Run ``units`` and return their payloads in input order.
+    """Run ``units`` under ``options`` and return their payloads in
+    input order.
 
     ``workers=1`` executes in-process; ``workers>1`` fans out over a
     process pool. Per-unit wall clock (as seen by the process that
@@ -535,8 +579,8 @@ def execute_units(units: Sequence, workers: int = 1,
     * ``failure_policy="raise"`` (default) aborts on the first unit
       that exhausts its attempts; ``"degrade"`` finishes the run and
       returns the :class:`UnitFailure` record *in place of* that
-      unit's payload (and appends it to ``failures`` when given) —
-      callers filter with ``isinstance(p, UnitFailure)``.
+      unit's payload — callers filter with
+      ``isinstance(p, UnitFailure)``.
     * ``KeyboardInterrupt`` cancels pending work, kills pool workers
       (no orphans) and propagates; journaled progress survives.
 
@@ -557,23 +601,6 @@ def execute_units(units: Sequence, workers: int = 1,
     serial) for every worker count; journaled shards replay through
     the same fold on resume, without re-running the slice.
     """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if retries < 0:
-        raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if retry_backoff_s < 0:
-        raise ConfigurationError(
-            f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
-    if unit_timeout is not None and not unit_timeout > 0:
-        raise ConfigurationError(
-            f"unit_timeout must be positive, got {unit_timeout}")
-    if failure_policy not in FAILURE_POLICIES:
-        raise ConfigurationError(
-            f"failure_policy must be one of {FAILURE_POLICIES}, "
-            f"got {failure_policy!r}")
-    if granularity < 1:
-        raise ConfigurationError(
-            f"granularity must be >= 1, got {granularity}")
     units = list(units)
     if not units:
         return []
@@ -581,7 +608,7 @@ def execute_units(units: Sequence, workers: int = 1,
     # Flatten the per-unit shard plan into one task list. With
     # granularity=1 every task *is* its unit, so task ids, journal
     # keys and profile-dump names match the pre-sharding executor.
-    plan = plan_shards(units, granularity)
+    plan = plan_shards(units, options.granularity)
     tasks: list = []
     unit_tasks: list[list[int]] = []
     for group in plan:
@@ -614,6 +641,7 @@ def execute_units(units: Sequence, workers: int = 1,
 
     outcomes: dict[int, object] = {}
     keys: list[str] | None = None
+    journal = options.journal
     if journal is not None:
         keys = [journal.key_for(task) for task in tasks]
         for i, task in enumerate(tasks):
@@ -636,16 +664,11 @@ def execute_units(units: Sequence, workers: int = 1,
     todo = [(i, task) for i, task in enumerate(tasks)
             if i not in outcomes]
     if todo:
-        if workers == 1 and unit_timeout is None:
-            outcomes.update(_execute_serial(
-                todo, profile_dir, retries, retry_backoff_s,
-                failure_policy, record_ok, track_memory))
+        if options.workers == 1 and options.unit_timeout is None:
+            outcomes.update(_execute_serial(todo, options, record_ok))
         else:
-            supervisor = _PoolSupervisor(
-                todo, min(workers, len(todo)), profile_dir, retries,
-                retry_backoff_s, unit_timeout, failure_policy,
-                record_ok, track_memory)
-            outcomes.update(supervisor.run())
+            outcomes.update(
+                _PoolSupervisor(todo, options, record_ok).run())
 
     payloads: list = []
     for i, unit in enumerate(units):
@@ -656,10 +679,7 @@ def execute_units(units: Sequence, workers: int = 1,
             # One record stands for the whole unit (its merged
             # payload is lost); the lowest failing shard index wins
             # deterministically.
-            failure = shard_failures[0]
-            if failures is not None:
-                failures.append(failure)
-            payloads.append(failure)
+            payloads.append(shard_failures[0])
             continue
         results = [outcomes[t] for t in ids]
         if i in reducers:

@@ -103,11 +103,6 @@ class StarlinkParams:
 class StarlinkPathModel:
     """Analytic one-way/RTT delay model of the Starlink access."""
 
-    #: Class-level default for the per-slot base-delay cache (fast
-    #: path); equivalence tests flip it to prove digests do not
-    #: depend on it.
-    base_cache_enabled = True
-
     def __init__(self, params: StarlinkParams | None = None,
                  constellation: Constellation | None = None,
                  terminal: UserTerminal | None = None,
@@ -151,26 +146,23 @@ class StarlinkPathModel:
 
         The geometry + processing part is constant within one 15 s
         scheduler slot, so it is memoized per slot (the cached value
-        is the identical left-to-right float sum the uncached
-        expression produces -- only the time-varying timeline and
-        diurnal terms are re-added per call). The cache is discarded
-        whenever :attr:`SatelliteScheduler.version` moves, i.e. when
-        outage injection retroactively changes slot allocations.
+        is the float :meth:`_slot_base` returns at any time in the
+        slot -- only the time-varying timeline and diurnal terms are
+        re-added per call). The cache is discarded whenever
+        :attr:`SatelliteScheduler.version` moves, i.e. when outage
+        injection retroactively changes slot allocations.
         """
-        if self.base_cache_enabled:
-            scheduler = self.scheduler
-            if scheduler.version != self._base_cache_version:
-                self._base_cache.clear()
-                self._base_cache_version = scheduler.version
-            slot = scheduler.slot_of(t)
-            base = self._base_cache.get(slot)
-            if base is None:
-                base = self._slot_base(t)
-                if len(self._base_cache) > 50_000:
-                    self._base_cache.clear()
-                self._base_cache[slot] = base
-        else:
+        scheduler = self.scheduler
+        if scheduler.version != self._base_cache_version:
+            self._base_cache.clear()
+            self._base_cache_version = scheduler.version
+        slot = scheduler.slot_of(t)
+        base = self._base_cache.get(slot)
+        if base is None:
             base = self._slot_base(t)
+            if len(self._base_cache) > 50_000:
+                self._base_cache.clear()
+            self._base_cache[slot] = base
         return (base
                 + self.timeline.extra_latency(t)
                 + self._diurnal(t))

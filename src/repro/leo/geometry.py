@@ -105,7 +105,18 @@ def azimuth_angle(ground: np.ndarray, sat: np.ndarray,
     returned there (its horizontal projection vanishes).
     """
     ground = np.asarray(ground, dtype=float)
-    sat = np.asarray(sat, dtype=float)
+    return azimuth_in_frame(ground, np.asarray(sat, dtype=float),
+                            *east_north_frame(ground, up))
+
+
+def east_north_frame(ground: np.ndarray, up: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Local east and north unit vectors at ``ground`` (ECEF).
+
+    The frame depends on the ground point only, so a caller measuring
+    many azimuths from one point builds it once and passes it to
+    :func:`azimuth_in_frame`.
+    """
     if up is None:
         up = ground / np.linalg.norm(ground)
     # Local east/north unit vectors from the spherical up-vector.
@@ -117,7 +128,13 @@ def azimuth_angle(ground: np.ndarray, sat: np.ndarray,
         east = np.array([0.0, 1.0, 0.0])
         east_norm = 1.0
     east = east / east_norm
-    north = np.cross(up, east)
+    return east, np.cross(up, east)
+
+
+def azimuth_in_frame(ground: np.ndarray, sat: np.ndarray,
+                     east: np.ndarray, north: np.ndarray
+                     ) -> float | np.ndarray:
+    """:func:`azimuth_angle` in a frame from :func:`east_north_frame`."""
     los = sat - ground
     e = los @ east
     n = los @ north

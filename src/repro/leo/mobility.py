@@ -36,7 +36,7 @@ to the classic fixed-terminal pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.leo.geometry import GeoPoint, great_circle_distance
@@ -132,6 +132,11 @@ class WaypointTrajectory(Trajectory):
     waypoints: tuple[GeoPoint, ...]
     speed_kmh: float
     start_t: float = 0.0
+    #: Great-circle length of each leg, metres; derived from the
+    #: waypoints once, at construction.
+    _leg_lengths_m: tuple[float, ...] = field(
+        init=False, repr=False, compare=False,
+        metadata={"digest": False})
 
     def __post_init__(self) -> None:
         if not self.waypoints:
@@ -140,10 +145,9 @@ class WaypointTrajectory(Trajectory):
         if not self.speed_kmh >= 0.0:   # also rejects NaN
             raise ConfigurationError(
                 f"speed_kmh must be >= 0, got {self.speed_kmh!r}")
-
-    def _leg_lengths_m(self) -> list[float]:
-        return [great_circle_distance(a, b)
-                for a, b in zip(self.waypoints, self.waypoints[1:])]
+        object.__setattr__(self, "_leg_lengths_m", tuple(
+            great_circle_distance(a, b)
+            for a, b in zip(self.waypoints, self.waypoints[1:])))
 
     def position_at(self, t: float) -> GeoPoint:
         if (self.speed_kmh == 0.0 or len(self.waypoints) == 1
@@ -151,7 +155,7 @@ class WaypointTrajectory(Trajectory):
             return self.waypoints[0]
         travelled = (t - self.start_t) * self.speed_kmh / 3.6
         for (a, b), leg in zip(zip(self.waypoints, self.waypoints[1:]),
-                               self._leg_lengths_m()):
+                               self._leg_lengths_m):
             if travelled <= leg or leg == 0.0:
                 frac = 0.0 if leg == 0.0 else travelled / leg
                 return GeoPoint(
@@ -170,7 +174,7 @@ class WaypointTrajectory(Trajectory):
         """Seconds after ``start_t`` at which the path is exhausted."""
         if self.is_stationary:
             return 0.0
-        return sum(self._leg_lengths_m()) / (self.speed_kmh / 3.6)
+        return sum(self._leg_lengths_m) / (self.speed_kmh / 3.6)
 
 
 def drive_trajectory(seed: int,

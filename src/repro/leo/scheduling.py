@@ -54,7 +54,8 @@ import numpy as np
 from repro.rng import make_rng, stable_seed
 from repro.errors import ConfigurationError
 from repro.leo.constellation import Constellation
-from repro.leo.geometry import (azimuth_angle, elevation_and_range,
+from repro.leo.geometry import (azimuth_in_frame, east_north_frame,
+                                elevation_and_range,
                                 elevation_angle, slant_range, unit_up)
 from repro.leo.ground import GroundStation, UserTerminal
 from repro.units import SPEED_OF_LIGHT
@@ -552,6 +553,8 @@ class FleetScheduler:
             return ConfigurationError(
                 f"no satellite visible from {self.terminals[i].name} "
                 f"at t={t}; constellation too sparse for this latitude")
+        # The azimuth frame depends on this row's position only.
+        frame = east_north_frame(ground, up) if mask is not None else None
         candidates = []
         for sat, elev_deg, rng_m in zip(indices.tolist(),
                                         elevations.tolist(),
@@ -559,7 +562,7 @@ class FleetScheduler:
             if sat in out_sats:
                 continue
             if mask is not None and mask.blocks(
-                    azimuth_angle(ground, positions[sat], up=up),
+                    azimuth_in_frame(ground, positions[sat], *frame),
                     elev_deg):
                 continue
             if sat in gw_memo:

@@ -89,11 +89,6 @@ class Simulator:
     :meth:`now`, :meth:`schedule` and :meth:`at`.
     """
 
-    #: Class-level default for lazy heap compaction; benchmarks and
-    #: equivalence tests flip it (per instance or process-wide) to
-    #: prove digests do not depend on it.
-    compaction_enabled = True
-
     def __init__(self, start_time: float = 0.0):
         self._now = start_time
         #: Heap of (time, seq, Event | None, fn, args); see module
@@ -204,8 +199,7 @@ class Simulator:
     def _note_cancel(self) -> None:
         """Called by :meth:`Event.cancel` for an event still queued."""
         self._cancelled_in_heap += 1
-        if (self.compaction_enabled
-                and len(self._heap) >= _COMPACT_MIN_HEAP
+        if (len(self._heap) >= _COMPACT_MIN_HEAP
                 and self._cancelled_in_heap * 2 > len(self._heap)):
             self._compact()
 

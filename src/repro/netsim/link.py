@@ -43,10 +43,11 @@ produced.
 
 The train path is skipped whenever equivalence cannot be guaranteed:
 AQM queues (CoDel's pop-time drop decisions depend on when pops
-happen), attached trace hooks (record interleaving would change),
+happen), attached trace hooks (record interleaving would change), or
 invariant checkers watching the pipe or queue (they observe the
-per-packet methods), or ``Pipe.trains_enabled = False``. Two caveats
-are inherent:
+per-packet methods). The per-packet path is therefore always there as
+the reference: under :func:`repro.testing.invariants.global_checking`
+every pipe is watched and takes it. Two caveats are inherent:
 
 * ``set_rate``/``set_delay`` calls landing *mid-train* (or while a
   fast-dispatched packet is in flight) only apply from the next
@@ -63,8 +64,8 @@ are inherent:
   serialisation sum and an externally chosen timestamp -- they occur
   with hand-picked decimal-aligned rates, sizes and send times, not
   with measured or RNG-derived campaign parameters. Workloads that
-  need exact-tie semantics on bounded queues must disable trains on
-  the pipe (``pipe.trains_enabled = False``).
+  need exact-tie semantics on bounded queues must keep the pipe on
+  the per-packet path, e.g. by attaching an ``on_transmit`` hook.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ class Pipe:
         loss: medium loss process applied per transmitted packet.
         name: label used in traces and diagnostics.
     """
-
-    #: Class-level default for the packet-train fast path; equivalence
-    #: tests and benchmarks flip it to prove digests do not depend on
-    #: it. Per-instance assignment disables one pipe only.
-    trains_enabled = True
 
     #: Overwritten (with an instance attribute) by an invariant
     #: checker watching this pipe; the class-level default makes the
@@ -215,8 +211,7 @@ class Pipe:
         # eligibility test and _fast_start body are spelled out here
         # because this is the single hottest call path in the
         # simulator -- see _fast_start for the equivalence argument.
-        if (self.trains_enabled
-                and self.on_transmit is None and self.on_deliver is None
+        if (self.on_transmit is None and self.on_deliver is None
                 and self.on_loss is None
                 and type(self.queue) is DropTailQueue
                 and not self._repro_invariants_watched
@@ -323,12 +318,10 @@ class Pipe:
         """Whether the event-collapsing fast paths are digest-safe.
 
         Gates both packet trains and fast dispatch: the conditions
-        (no hooks, plain drop-tail queue, nothing watched, toggle on)
-        are exactly those under which collapsing per-packet events
-        cannot change observable behaviour.
+        (no hooks, plain drop-tail queue, nothing watched) are exactly
+        those under which collapsing per-packet events cannot change
+        observable behaviour.
         """
-        if not self.trains_enabled:
-            return False
         if (self.on_transmit is not None or self.on_deliver is not None
                 or self.on_loss is not None):
             return False

@@ -22,7 +22,8 @@ completion, resume-from-journal) are pinned by tests rather than luck.
     spec = ChaosSpec(kill_on=(1,))            # die once, then behave
     units = wrap_units(campaign.ping_units(), state_dir,
                        {"ping:de-frankfurt": spec})
-    execute_units(units, workers=4, retries=1, journal=journal)
+    execute_units(units, ExecOptions(workers=4, retries=1,
+                                     journal=journal))
 """
 
 from __future__ import annotations

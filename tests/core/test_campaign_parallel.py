@@ -17,6 +17,7 @@ import pytest
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.errors import ConfigurationError
 from repro.exec import (
+    ExecOptions,
     PingSeriesUnit,
     default_workers,
     execute_units,
@@ -39,14 +40,16 @@ def tiny_config(seed: int = 0) -> CampaignConfig:
 
 
 def test_parallel_run_all_is_bit_identical_to_serial():
-    serial = Campaign(tiny_config(seed=0)).run_all(workers=1)
-    parallel = Campaign(tiny_config(seed=0)).run_all(workers=4)
+    serial = Campaign(tiny_config(seed=0)).run_all()
+    parallel = Campaign(tiny_config(seed=0),
+                        ExecOptions(workers=4)).run_all()
     assert digest_dataset(serial) == digest_dataset(parallel)
 
 
 def test_parallel_pings_match_serial_per_anchor():
-    serial = Campaign(tiny_config(seed=3)).run_pings(workers=1)
-    parallel = Campaign(tiny_config(seed=3)).run_pings(workers=2)
+    serial = Campaign(tiny_config(seed=3)).run_pings()
+    parallel = Campaign(tiny_config(seed=3),
+                        ExecOptions(workers=2)).run_pings()
     assert serial.anchors() == parallel.anchors()
     for name in serial.anchors():
         assert digest_value(serial.series[name]) \
@@ -68,7 +71,7 @@ def test_unit_decomposition_covers_table1():
 def test_execute_units_preserves_input_order():
     campaign = Campaign(tiny_config())
     units = campaign.ping_units()
-    payloads = execute_units(units, workers=2)
+    payloads = execute_units(units, ExecOptions(workers=2))
     assert [name for name, _, _, _ in payloads] \
         == [u.anchor_name for u in units]
 
@@ -77,7 +80,7 @@ def test_execute_units_records_timings_in_order():
     campaign = Campaign(tiny_config())
     units = campaign.ping_units()[:3]
     timings = []
-    execute_units(units, workers=1, timings=timings)
+    execute_units(units, timings=timings)
     assert [t.label for t in timings] == [u.label for u in units]
     assert all(t.elapsed_s >= 0.0 for t in timings)
     assert all(t.kind == "ping" for t in timings)
@@ -88,8 +91,8 @@ def test_execute_units_records_timings_in_order():
 
 def test_execute_units_rejects_bad_worker_count():
     with pytest.raises(ConfigurationError):
-        execute_units([], workers=0)
-    assert execute_units([], workers=2) == []
+        execute_units([], ExecOptions(workers=0))
+    assert execute_units([], ExecOptions(workers=2)) == []
 
 
 def test_units_are_picklable():
@@ -108,26 +111,10 @@ def test_default_workers_is_positive():
 
 
 def test_sharded_run_all_is_bit_identical_to_serial():
-    serial = Campaign(tiny_config(seed=0)).run_all(workers=1)
-    sharded = Campaign(tiny_config(seed=0)).run_all(workers=4,
-                                                    granularity=4)
+    serial = Campaign(tiny_config(seed=0)).run_all()
+    sharded = Campaign(tiny_config(seed=0),
+                       ExecOptions(workers=4, granularity=4)).run_all()
     assert digest_dataset(serial) == digest_dataset(sharded)
-
-
-def test_config_granularity_is_the_default():
-    config = tiny_config(seed=2)
-    config.shard_granularity = 3
-    from_config = Campaign(config).run_pings(workers=2)
-    explicit = Campaign(tiny_config(seed=2)).run_pings(workers=2,
-                                                       granularity=3)
-    serial = Campaign(tiny_config(seed=2)).run_pings(workers=1)
-    assert digest_value(from_config.series) \
-        == digest_value(explicit.series) == digest_value(serial.series)
-
-
-def test_config_rejects_bad_granularity():
-    with pytest.raises(ConfigurationError, match="shard_granularity"):
-        CampaignConfig(shard_granularity=0)
 
 
 def test_ping_unit_is_self_contained():

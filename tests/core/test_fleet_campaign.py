@@ -6,6 +6,7 @@ import pytest
 from repro.cli import main
 from repro.core.campaign import Campaign, CampaignConfig, quick_config
 from repro.errors import ConfigurationError
+from repro.exec import ExecOptions
 from repro.testing.digest import digest_value
 
 
@@ -33,8 +34,9 @@ def test_fleet_config_validation():
 def test_fleet_serial_equals_workers_and_shards():
     cfg = _fleet_config()
     serial = Campaign(cfg).run_fleet()
-    workers = Campaign(cfg).run_fleet(workers=2)
-    sharded = Campaign(cfg).run_fleet(workers=2, granularity=3)
+    workers = Campaign(cfg, ExecOptions(workers=2)).run_fleet()
+    sharded = Campaign(cfg,
+                       ExecOptions(workers=2, granularity=3)).run_fleet()
     d = digest_value(serial)
     assert digest_value(workers) == d
     assert digest_value(sharded) == d

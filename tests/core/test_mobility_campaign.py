@@ -7,7 +7,7 @@ import pytest
 from repro.core.availability import EPISODE_CAUSES
 from repro.core.campaign import Campaign, CampaignConfig, quick_config
 from repro.errors import UnitExecutionError
-from repro.exec import Journal
+from repro.exec import ExecOptions, Journal
 from repro.testing.chaos import ChaosSpec, wrap_units
 from repro.testing.digest import digest_value
 from repro.units import days, minutes
@@ -52,9 +52,9 @@ def test_speed_zero_drive_is_byte_identical_to_classic():
 
 def test_moving_run_is_deterministic_across_exec_modes():
     serial = Campaign(drive_config()).run_pings()
-    parallel = Campaign(drive_config()).run_pings(workers=2)
-    sharded = Campaign(drive_config()).run_pings(workers=2,
-                                                 granularity=4)
+    parallel = Campaign(drive_config(), ExecOptions(workers=2)).run_pings()
+    sharded = Campaign(drive_config(),
+                       ExecOptions(workers=2, granularity=4)).run_pings()
     assert digest_value(serial) == digest_value(parallel) \
         == digest_value(sharded)
 
@@ -98,17 +98,19 @@ def test_kill_mid_drive_then_resume_is_digest_identical(tmp_path):
     even with obstruction shadowing active across the boundary."""
     reference = Campaign(drive_config()).run_pings()
 
-    campaign = Campaign(drive_config())
+    journal = Journal(tmp_path / "journal")
+    campaign = Campaign(drive_config(),
+                        ExecOptions(workers=2, journal=journal))
     units = campaign.ping_units()
     wrapped = wrap_units(units, tmp_path / "chaos",
                          {units[2].label: ChaosSpec(kill_on=(1,))})
     campaign.ping_units = lambda: wrapped
-    journal = Journal(tmp_path / "journal")
     with pytest.raises(UnitExecutionError, match="WorkerCrash"):
-        campaign.run_pings(workers=2, journal=journal)
+        campaign.run_pings()
     assert 0 < len(journal) < len(units)
 
-    resumed = Campaign(drive_config()).run_pings(journal=journal)
+    resumed = Campaign(drive_config(),
+                       ExecOptions(journal=journal)).run_pings()
     assert digest_value(resumed) == digest_value(reference)
 
 
@@ -117,16 +119,16 @@ def test_interrupt_during_obstructed_handover_then_resume(tmp_path):
     the fresh-process resume reproduces the uninterrupted digest."""
     reference = Campaign(drive_config(seed=2)).run_pings()
 
-    campaign = Campaign(drive_config(seed=2))
+    journaled = ExecOptions(journal=Journal(tmp_path / "journal"))
+    campaign = Campaign(drive_config(seed=2), journaled)
     units = campaign.ping_units()
     wrapped = wrap_units(units, tmp_path / "chaos",
                          {units[0].label: ChaosSpec(interrupt_on=(1,))})
     campaign.ping_units = lambda: wrapped
-    journal = Journal(tmp_path / "journal")
     with pytest.raises(KeyboardInterrupt):
-        campaign.run_pings(journal=journal)
+        campaign.run_pings()
 
-    resumed = Campaign(drive_config(seed=2)).run_pings(journal=journal)
+    resumed = Campaign(drive_config(seed=2), journaled).run_pings()
     assert digest_value(resumed) == digest_value(reference)
 
 

@@ -21,6 +21,7 @@ from repro.core.campaign import (
 from repro.core.datasets import StreamingPingDataset
 from repro.core.reporting import render_precision_notes
 from repro.errors import ConfigurationError, MemoryBudgetError
+from repro.exec import ExecOptions
 from repro.exec.resources import ResourceBudget
 from repro.testing.digest import digest_value
 from repro.units import minutes
@@ -96,8 +97,8 @@ def test_streaming_budget_follows_the_config():
 
 def test_streaming_campaign_reconstructs_batch_bitwise():
     batch = Campaign(micro_config(seed=3)).run_pings()
-    streamed = Campaign(micro_config(seed=3)).run_pings_streaming(
-        workers=2, granularity=3)
+    streamed = Campaign(micro_config(seed=3), ExecOptions(
+        workers=2, granularity=3)).run_pings_streaming()
     assert isinstance(streamed, StreamingPingDataset)
     assert streamed.precision_notes() == []
     rebuilt = streamed.to_ping_dataset()

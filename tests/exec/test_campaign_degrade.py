@@ -13,7 +13,7 @@ from repro.core.reporting import (
     render_degradation,
     render_table1,
 )
-from repro.exec.runner import DegradationReport, UnitFailure
+from repro.exec.runner import DegradationReport, ExecOptions, UnitFailure
 from repro.testing.chaos import ChaosSpec, wrap_units
 from repro.units import minutes
 
@@ -38,13 +38,17 @@ def _sabotage(campaign: Campaign, state_dir, ping_label, web_label):
         web_units(), state_dir / "web", {web_label: spec})
 
 
+#: Finish a sabotaged run with partial datasets instead of aborting.
+DEGRADE = ExecOptions(failure_policy="degrade")
+
+
 def test_run_all_degrades_to_partial_datasets(tmp_path):
-    campaign = Campaign(tiny_config())
+    campaign = Campaign(tiny_config(), DEGRADE)
     ping_label = campaign.ping_units()[3].label
     web_label = campaign.web_units()[0].label
     _sabotage(campaign, tmp_path, ping_label, web_label)
 
-    data = campaign.run_all(failure_policy="degrade")
+    data = campaign.run_all()
     report = campaign.degradation_report()
 
     assert report.degraded
@@ -69,11 +73,11 @@ def test_run_all_degrades_to_partial_datasets(tmp_path):
 
 
 def test_degradation_rendering_names_the_lost_units(tmp_path):
-    campaign = Campaign(tiny_config())
+    campaign = Campaign(tiny_config(), DEGRADE)
     ping_label = campaign.ping_units()[3].label
     web_label = campaign.web_units()[0].label
     _sabotage(campaign, tmp_path, ping_label, web_label)
-    campaign.run_all(failure_policy="degrade")
+    campaign.run_all()
     report = campaign.degradation_report()
 
     text = render_degradation(report)

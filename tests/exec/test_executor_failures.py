@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import ConfigurationError, UnitExecutionError
-from repro.exec import UnitFailure, execute_units
+from repro.exec import ExecOptions, UnitFailure, execute_units
 from repro.exec.runner import _backoff_s, _profile_stem
 from repro.testing.chaos import (
     ChaosSpec,
@@ -64,14 +64,16 @@ UNITS = [SquareUnit(v) for v in range(5)]
 EXPECTED = [v * v for v in range(5)]
 
 
+def failures_in(payloads: list) -> list[UnitFailure]:
+    """The UnitFailure records a degraded run left in place of units."""
+    return [p for p in payloads if isinstance(p, UnitFailure)]
+
+
 def test_transient_raise_is_retried_to_success(tmp_path):
     wrapped = wrap_units(UNITS, tmp_path,
                          {"square:2": ChaosSpec(raise_on=(1,))})
-    failures = []
-    payloads = execute_units(wrapped, workers=1, retries=1,
-                             failures=failures)
+    payloads = execute_units(wrapped, ExecOptions(retries=1))
     assert payloads == EXPECTED
-    assert failures == []
     assert attempts_made(tmp_path, "square:2") == 2
     assert attempts_made(tmp_path, "square:0") == 1
 
@@ -81,22 +83,19 @@ def test_exhausted_retries_raise_unit_execution_error(tmp_path):
                          {"square:2": ChaosSpec(raise_on=(1, 2))})
     with pytest.raises(UnitExecutionError,
                        match=r"'square:2' failed after 2 attempt"):
-        execute_units(wrapped, workers=1, retries=1)
+        execute_units(wrapped, ExecOptions(retries=1))
 
 
 def test_exhausted_retries_degrade_to_unit_failure(tmp_path):
     wrapped = wrap_units(UNITS, tmp_path,
                          {"square:2": ChaosSpec(raise_on=(1, 2))})
-    failures = []
-    payloads = execute_units(wrapped, workers=1, retries=1,
-                             failure_policy="degrade",
-                             failures=failures)
+    payloads = execute_units(
+        wrapped, ExecOptions(retries=1, failure_policy="degrade"))
     # The lost unit's slot holds its UnitFailure; the rest are intact.
     assert payloads[:2] == EXPECTED[:2]
     assert payloads[3:] == EXPECTED[3:]
     failure = payloads[2]
     assert isinstance(failure, UnitFailure)
-    assert failures == [failure]
     assert failure.label == "square:2"
     assert failure.kind == "square"
     assert failure.error_type == "ChaosError"
@@ -107,7 +106,7 @@ def test_exhausted_retries_degrade_to_unit_failure(tmp_path):
 def test_worker_death_is_retried_in_pool(tmp_path):
     wrapped = wrap_units(UNITS, tmp_path,
                          {"square:3": ChaosSpec(kill_on=(1,))})
-    payloads = execute_units(wrapped, workers=2, retries=1)
+    payloads = execute_units(wrapped, ExecOptions(workers=2, retries=1))
     assert payloads == EXPECTED
 
 
@@ -117,10 +116,9 @@ def test_worker_death_degrades_deterministically(tmp_path):
     # path (a SIGKILL in-process would kill the test runner).
     wrapped = wrap_units(UNITS, tmp_path,
                          {"square:1": ChaosSpec(kill_on=(1,))})
-    failures = []
-    payloads = execute_units(wrapped, workers=1, unit_timeout=60.0,
-                             failure_policy="degrade",
-                             failures=failures)
+    payloads = execute_units(wrapped, ExecOptions(
+        unit_timeout=60.0, failure_policy="degrade"))
+    failures = failures_in(payloads)
     assert [f.label for f in failures] == ["square:1"]
     assert failures[0].error_type == "WorkerCrash"
     assert failures[0].attempts == 1
@@ -133,8 +131,8 @@ def test_hang_is_timed_out_and_redispatched(tmp_path):
                          {"square:0": ChaosSpec(hang_on=(1,),
                                                 hang_s=60.0)})
     began = time.monotonic()
-    payloads = execute_units(wrapped, workers=1, retries=1,
-                             unit_timeout=0.75)
+    payloads = execute_units(wrapped, ExecOptions(retries=1,
+                                                  unit_timeout=0.75))
     assert payloads == EXPECTED
     # The hung attempt was abandoned at the timeout, not waited out.
     assert time.monotonic() - began < 30.0
@@ -145,9 +143,8 @@ def test_hang_exhausts_into_unit_timeout_failure(tmp_path):
     wrapped = wrap_units(UNITS, tmp_path,
                          {"square:0": ChaosSpec(hang_on=(1, 2),
                                                 hang_s=60.0)})
-    failures = []
-    execute_units(wrapped, workers=1, retries=1, unit_timeout=0.5,
-                  failure_policy="degrade", failures=failures)
+    failures = failures_in(execute_units(wrapped, ExecOptions(
+        retries=1, unit_timeout=0.5, failure_policy="degrade")))
     assert [f.error_type for f in failures] == ["UnitTimeout"]
     assert failures[0].attempts == 2
     assert "0.5s wall-clock budget" in failures[0].message
@@ -159,10 +156,9 @@ def test_degrade_report_matches_injected_faults(tmp_path):
                                        p_raise=0.5)
     assert injections  # seed 7 must actually sabotage something
     assert all(inj.fault == "raise" for inj in injections)
-    failures = []
-    payloads = execute_units(wrapped, workers=1,
-                             failure_policy="degrade",
-                             failures=failures)
+    payloads = execute_units(wrapped,
+                             ExecOptions(failure_policy="degrade"))
+    failures = failures_in(payloads)
     # The failure report lists exactly the injected faults -- nothing
     # invented, nothing swallowed -- and every calm unit completed.
     assert sorted(f.label for f in failures) \
@@ -187,7 +183,7 @@ def test_pool_interrupt_cancels_and_reaps_workers(tmp_path):
     wrapped = wrap_units(UNITS, tmp_path,
                          {"square:2": ChaosSpec(interrupt_on=(1,))})
     with pytest.raises(KeyboardInterrupt):
-        execute_units(wrapped, workers=2)
+        execute_units(wrapped, ExecOptions(workers=2))
     # No orphaned pool workers: every child is reaped promptly.
     deadline = time.monotonic() + 10.0
     while multiprocessing.active_children():
@@ -200,7 +196,7 @@ def test_timings_cover_only_successes_in_input_order(tmp_path):
     wrapped = wrap_units(UNITS, tmp_path,
                          {"square:1": ChaosSpec(raise_on=(1,))})
     timings = []
-    execute_units(wrapped, workers=1, failure_policy="degrade",
+    execute_units(wrapped, ExecOptions(failure_policy="degrade"),
                   timings=timings)
     assert [t.label for t in timings] \
         == ["square:0", "square:2", "square:3", "square:4"]
@@ -213,15 +209,15 @@ def test_backoff_schedule_is_deterministic_and_exponential():
     assert _backoff_s(0.0, 5) == 0.0
 
 
-def test_invalid_crash_safety_parameters_rejected():
-    with pytest.raises(ConfigurationError, match="retries"):
-        execute_units(UNITS, retries=-1)
-    with pytest.raises(ConfigurationError, match="retry_backoff_s"):
-        execute_units(UNITS, retry_backoff_s=-0.1)
-    with pytest.raises(ConfigurationError, match="unit_timeout"):
-        execute_units(UNITS, unit_timeout=0.0)
-    with pytest.raises(ConfigurationError, match="failure_policy"):
-        execute_units(UNITS, failure_policy="retry-forever")
+@pytest.mark.parametrize("name, value", [
+    ("workers", 0), ("granularity", 0), ("retries", -1),
+    ("retry_backoff_s", -0.1), ("retry_backoff_s", float("nan")),
+    ("unit_timeout", 0.0), ("unit_timeout", float("nan")),
+    ("failure_policy", "retry-forever"),
+])
+def test_exec_options_reject_invalid_values(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        ExecOptions(**{name: value})
 
 
 def test_profile_stems_do_not_collide(tmp_path):
@@ -231,6 +227,6 @@ def test_profile_stems_do_not_collide(tmp_path):
     units = [NamedUnit("probe one"), NamedUnit("probe/one")]
     assert _profile_stem(units[0].label) == _profile_stem(units[1].label)
     prof = tmp_path / "prof"
-    execute_units(units, workers=1, profile_dir=str(prof))
+    execute_units(units, ExecOptions(profile_dir=str(prof)))
     dumps = sorted(p.name for p in prof.glob("*.pstats"))
     assert dumps == ["0000-probe_one.pstats", "0001-probe_one.pstats"]

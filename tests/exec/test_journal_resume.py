@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.errors import JournalError, UnitExecutionError
-from repro.exec import Journal, execute_units
+from repro.exec import ExecOptions, Journal, execute_units
 from repro.testing.chaos import ChaosSpec, attempts_made, wrap_units
 from repro.testing.digest import digest_value
 from repro.units import minutes
@@ -86,7 +86,7 @@ def test_corrupt_entry_is_discarded_and_rerun(tmp_path):
     (tmp_path / f"{key}.pkl").write_bytes(b"torn write \x00\x01")
     assert journal.load(key) is None          # discarded, not fatal
     assert not (tmp_path / f"{key}.pkl").exists()
-    payloads = execute_units(UNITS, journal=journal)
+    payloads = execute_units(UNITS, ExecOptions(journal=journal))
     assert payloads == EXPECTED               # unit simply re-ran
     assert len(journal) == 5
 
@@ -115,16 +115,16 @@ def test_stale_tmp_files_are_swept(tmp_path):
 
 def test_journaled_units_are_not_rerun(tmp_path):
     journal = Journal(tmp_path / "j")
-    first = execute_units(UNITS, journal=journal)
+    first = execute_units(UNITS, ExecOptions(journal=journal))
     # Re-running through chaos that raises on every first attempt
     # proves the units were loaded from the journal, not executed.
     wrapped = wrap_units(UNITS, tmp_path / "chaos",
                          default=ChaosSpec(raise_on=(1,)))
-    second = execute_units(wrapped, journal=journal)
+    second = execute_units(wrapped, ExecOptions(journal=journal))
     assert first == second == EXPECTED
     assert attempts_made(tmp_path / "chaos", "square:0") == 0
     timings = []
-    execute_units(UNITS, journal=journal, timings=timings)
+    execute_units(UNITS, ExecOptions(journal=journal), timings=timings)
     assert [t.label for t in timings] == [u.label for u in UNITS]
 
 
@@ -132,8 +132,8 @@ def test_journal_payloads_survive_pickle_digest_identically(tmp_path):
     units = Campaign(tiny_config()).ping_units()[:2]
     direct = execute_units(units)
     journal = Journal(tmp_path)
-    execute_units(units, journal=journal)
-    resumed = execute_units(units, journal=journal)
+    execute_units(units, ExecOptions(journal=journal))
+    resumed = execute_units(units, ExecOptions(journal=journal))
     assert digest_value(resumed) == digest_value(direct)
     clone = pickle.loads(pickle.dumps(direct))
     assert digest_value(clone) == digest_value(direct)
@@ -145,17 +145,17 @@ def test_journal_payloads_survive_pickle_digest_identically(tmp_path):
 def test_worker_kill_then_resume_is_digest_identical(tmp_path):
     """Acceptance: SIGKILL a worker mid-campaign, resume, same digest."""
     units = Campaign(tiny_config(seed=0)).ping_units()[:4]
-    reference = digest_value(execute_units(units, workers=1))
+    reference = digest_value(execute_units(units))
 
     journal = Journal(tmp_path / "journal")
     wrapped = wrap_units(units, tmp_path / "chaos",
                          {units[2].label: ChaosSpec(kill_on=(1,))})
     with pytest.raises(UnitExecutionError, match="WorkerCrash"):
-        execute_units(wrapped, workers=2, journal=journal)
+        execute_units(wrapped, ExecOptions(workers=2, journal=journal))
     # The run died partway: some units journaled, not all.
     assert 0 < len(journal) < len(units)
 
-    resumed = execute_units(units, workers=2, journal=journal)
+    resumed = execute_units(units, ExecOptions(workers=2, journal=journal))
     assert digest_value(resumed) == reference
     assert len(journal) == len(units)
 
@@ -165,10 +165,10 @@ def test_serial_interrupt_then_resume(tmp_path):
     wrapped = wrap_units(UNITS, tmp_path / "chaos",
                          {"square:2": ChaosSpec(interrupt_on=(1,))})
     with pytest.raises(KeyboardInterrupt):
-        execute_units(wrapped, workers=1, journal=journal)
+        execute_units(wrapped, ExecOptions(journal=journal))
     # Everything completed before the interrupt is already flushed.
     assert journal.labels() == ["square:0", "square:1"]
-    resumed = execute_units(UNITS, workers=1, journal=journal)
+    resumed = execute_units(UNITS, ExecOptions(journal=journal))
     assert resumed == EXPECTED
     assert len(journal) == 5
 
@@ -176,20 +176,20 @@ def test_serial_interrupt_then_resume(tmp_path):
 def test_campaign_interrupt_then_resume_is_digest_identical(tmp_path):
     reference = Campaign(tiny_config(seed=2)).run_pings()
 
-    campaign = Campaign(tiny_config(seed=2))
+    journaled = ExecOptions(journal=Journal(tmp_path / "journal"))
+    campaign = Campaign(tiny_config(seed=2), journaled)
     units = campaign.ping_units()
     wrapped = wrap_units(units, tmp_path / "chaos",
                          {units[5].label: ChaosSpec(interrupt_on=(1,))})
     campaign.ping_units = lambda: wrapped
-    journal = Journal(tmp_path / "journal")
     with pytest.raises(KeyboardInterrupt):
-        campaign.run_pings(journal=journal)
-    assert 0 < len(journal) < len(units)
+        campaign.run_pings()
+    assert 0 < len(journaled.journal) < len(units)
 
     # A fresh process (fresh Campaign) resumes from the same journal.
-    resumed = Campaign(tiny_config(seed=2)).run_pings(journal=journal)
+    resumed = Campaign(tiny_config(seed=2), journaled).run_pings()
     assert digest_value(resumed.series) == digest_value(reference.series)
     # The journal now covers the full campaign: a third run is a no-op
     # load that still digests identically.
-    again = Campaign(tiny_config(seed=2)).run_pings(journal=journal)
+    again = Campaign(tiny_config(seed=2), journaled).run_pings()
     assert digest_value(again.series) == digest_value(reference.series)

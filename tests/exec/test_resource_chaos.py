@@ -17,6 +17,7 @@ from repro.core.campaign import CampaignConfig
 from repro.core.datasets import StreamingPingDataset
 from repro.errors import MemoryBudgetError, ResourceError
 from repro.exec import (
+    ExecOptions,
     Journal,
     ResourceBudget,
     StreamingPingUnit,
@@ -69,7 +70,7 @@ def test_memerr_chaos_is_survivable_with_retries(tmp_path):
     wrecked = StreamingPingUnit(cfg, ANCHOR)
     wrapped = wrap_units([wrecked], tmp_path / "chaos",
                          {wrecked.label: ChaosSpec(memerr_on=(1,))})
-    [sink] = execute_units(wrapped, workers=1, retries=1)
+    [sink] = execute_units(wrapped, ExecOptions(retries=1))
     assert digest_value(sink.to_series()) == reference
     assert attempts_made(tmp_path / "chaos", wrecked.label) == 2
 
@@ -78,12 +79,9 @@ def test_memerr_without_retries_degrades_with_a_named_failure(tmp_path):
     unit = StreamingPingUnit(micro_config(), ANCHOR)
     wrapped = wrap_units([unit], tmp_path / "chaos",
                          {unit.label: ChaosSpec(memerr_on=(1,))})
-    failures: list[UnitFailure] = []
-    [payload] = execute_units(wrapped, workers=1,
-                              failure_policy="degrade",
-                              failures=failures)
-    assert isinstance(payload, UnitFailure)
-    [failure] = failures
+    [failure] = execute_units(wrapped,
+                              ExecOptions(failure_policy="degrade"))
+    assert isinstance(failure, UnitFailure)
     assert failure.error_type == "MemoryError"
     assert "injected allocation failure" in failure.message
 
@@ -92,16 +90,15 @@ def test_balloon_pressure_spikes_the_tracked_peak(tmp_path):
     cfg = micro_config(seed=5)
     calm: list = []
     [reference] = execute_units([StreamingPingUnit(cfg, ANCHOR)],
-                                workers=1, timings=calm,
-                                track_memory=True)
+                                ExecOptions(track_memory=True), timings=calm)
 
     pressured: list = []
     unit = StreamingPingUnit(cfg, ANCHOR)
     wrapped = wrap_units([unit], tmp_path / "chaos",
                          {unit.label: ChaosSpec(balloon_on=(1,),
                                                 balloon_mb=8)})
-    [sink] = execute_units(wrapped, workers=1, timings=pressured,
-                           track_memory=True)
+    [sink] = execute_units(wrapped, ExecOptions(track_memory=True),
+                           timings=pressured)
     # Pressure, not failure: the payload is untouched...
     assert digest_value(sink.to_series()) \
         == digest_value(reference.to_series())
@@ -118,7 +115,7 @@ def test_seeded_memerr_injections_replay_deterministically(tmp_path):
     _, replay = seeded_chaos(units, tmp_path / "b", seed=11,
                              p_memerr=1.0)
     assert replay == injections
-    [sink] = execute_units(wrapped, workers=1, retries=1)
+    [sink] = execute_units(wrapped, ExecOptions(retries=1))
     assert sink.total_probes > 0
 
 
@@ -209,8 +206,7 @@ def test_hard_cap_leaves_the_journal_checkpoint_usable(tmp_path):
     reference = digest_value(unit.run().to_series())
 
     journal = Journal(tmp_path / "j")
-    [sink] = execute_units([unit], workers=1, granularity=4,
-                           journal=journal)
+    [sink] = execute_units([unit], ExecOptions(granularity=4, journal=journal))
     doomed = StreamingPingDataset(
         budget=ResourceBudget(max_bytes=1),
         spill_dir=str(tmp_path / "spill"))
@@ -222,8 +218,8 @@ def test_hard_cap_leaves_the_journal_checkpoint_usable(tmp_path):
     wrapped = wrap_units([StreamingPingUnit(cfg, ANCHOR)],
                          tmp_path / "chaos",
                          default=ChaosSpec(raise_on=(1, 2, 3)))
-    [replayed] = execute_units(wrapped, workers=1, granularity=4,
-                               journal=journal)
+    [replayed] = execute_units(wrapped,
+                               ExecOptions(granularity=4, journal=journal))
     recovered = StreamingPingDataset()
     recovered.add_sink(replayed)
     assert digest_value(

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.errors import UnitExecutionError
-from repro.exec import Journal, execute_units, shard_label
+from repro.exec import ExecOptions, Journal, execute_units, shard_label
 from repro.testing.chaos import ChaosSpec, attempts_made, wrap_units
 from repro.testing.digest import digest_value
 from repro.units import minutes
@@ -43,7 +43,7 @@ def test_sigkill_mid_shard_then_resume_is_digest_identical(tmp_path):
     """Acceptance: SIGKILL one shard's worker, resume, same digest —
     and no shard journaled before the crash ever runs again."""
     units = Campaign(ping_config(seed=0)).ping_units()[:3]
-    reference = digest_value(execute_units(units, workers=1))
+    reference = digest_value(execute_units(units))
 
     victim_unit = units[1]
     victim = shard_labels_for(victim_unit)[1]
@@ -53,8 +53,9 @@ def test_sigkill_mid_shard_then_resume_is_digest_identical(tmp_path):
         shard_specs={victim_unit.label: {victim: ChaosSpec(kill_on=(1,))}})
     journal = Journal(tmp_path / "journal")
     with pytest.raises(UnitExecutionError, match="WorkerCrash"):
-        execute_units(wrapped, workers=2, granularity=GRANULARITY,
-                      journal=journal)
+        execute_units(wrapped,
+                      ExecOptions(workers=2, granularity=GRANULARITY,
+                                  journal=journal))
     total_shards = sum(len(shard_labels_for(u)) for u in units)
     assert 0 < len(journal) < total_shards
     survivors = journal.labels()
@@ -63,8 +64,9 @@ def test_sigkill_mid_shard_then_resume_is_digest_identical(tmp_path):
               for label in survivors}
 
     calm = wrap_units(units, chaos_dir)
-    resumed = execute_units(calm, workers=2, granularity=GRANULARITY,
-                            journal=journal)
+    resumed = execute_units(calm,
+                            ExecOptions(workers=2, granularity=GRANULARITY,
+                                        journal=journal))
     assert digest_value(resumed) == reference
     assert len(journal) == total_shards
     # Completed shards were loaded, never re-executed: their attempt
@@ -84,7 +86,7 @@ def test_raise_names_parent_unit_and_shard(tmp_path):
         shard_specs={units[0].label: {victim: ChaosSpec(raise_on=(1,))}})
     with pytest.raises(UnitExecutionError,
                        match=rf"unit '{units[0].label}' shard 3/3"):
-        execute_units(wrapped, workers=1, granularity=GRANULARITY)
+        execute_units(wrapped, ExecOptions(granularity=GRANULARITY))
 
 
 def test_shard_retry_is_charged_to_the_shard_alone(tmp_path):
@@ -94,9 +96,9 @@ def test_shard_retry_is_charged_to_the_shard_alone(tmp_path):
     wrapped = wrap_units(
         units, chaos_dir,
         shard_specs={units[0].label: {victim: ChaosSpec(raise_on=(1,))}})
-    reference = digest_value(execute_units(units, workers=1))
-    resumed = execute_units(wrapped, workers=1, retries=1,
-                            granularity=GRANULARITY)
+    reference = digest_value(execute_units(units))
+    resumed = execute_units(wrapped,
+                            ExecOptions(granularity=GRANULARITY, retries=1))
     assert digest_value(resumed) == reference
     assert attempts_made(chaos_dir, victim) == 2
     for label in shard_labels_for(units[1]):
@@ -105,7 +107,7 @@ def test_shard_retry_is_charged_to_the_shard_alone(tmp_path):
 
 def test_interrupt_mid_shard_then_resume_serial(tmp_path):
     units = Campaign(ping_config(seed=3)).ping_units()[:2]
-    reference = digest_value(execute_units(units, workers=1))
+    reference = digest_value(execute_units(units))
     victim = shard_labels_for(units[1])[0]
     chaos_dir = tmp_path / "chaos"
     wrapped = wrap_units(
@@ -114,12 +116,13 @@ def test_interrupt_mid_shard_then_resume_serial(tmp_path):
                      {victim: ChaosSpec(interrupt_on=(1,))}})
     journal = Journal(tmp_path / "journal")
     with pytest.raises(KeyboardInterrupt):
-        execute_units(wrapped, workers=1, granularity=GRANULARITY,
-                      journal=journal)
+        execute_units(wrapped,
+                      ExecOptions(granularity=GRANULARITY, journal=journal))
     # Every shard of the first unit completed before the interrupt.
     assert set(shard_labels_for(units[0])) <= set(journal.labels())
-    resumed = execute_units(units, workers=1,
-                            granularity=GRANULARITY, journal=journal)
+    resumed = execute_units(units,
+                            ExecOptions(granularity=GRANULARITY,
+                                        journal=journal))
     assert digest_value(resumed) == reference
 
 
@@ -131,25 +134,21 @@ def test_degrade_reports_shard_attribution(tmp_path):
         units, tmp_path,
         shard_specs={victim_unit.label:
                      {victim: ChaosSpec(raise_on=(1, 2))}})
-    failures = []
-    payloads = execute_units(wrapped, workers=1, retries=1,
-                             granularity=GRANULARITY,
-                             failure_policy="degrade",
-                             failures=failures)
-    [failure] = failures
+    payloads = execute_units(wrapped, ExecOptions(
+        retries=1, granularity=GRANULARITY, failure_policy="degrade"))
+    failure = payloads[0]
     assert failure.label == victim_unit.label   # parent, not shard
     assert failure.shard_index == 1
     assert failure.n_shards == 3
     assert failure.shard_label == victim
     assert failure.attempts == 2
-    assert payloads[0] is failure
     # The calm unit still merged normally.
     assert digest_value([payloads[1]]) == digest_value(
-        execute_units([units[1]], workers=1))
+        execute_units([units[1]]))
 
     from repro.core.reporting import render_degradation
     from repro.exec import DegradationReport
     report = render_degradation(DegradationReport(
-        total_units=2, completed_units=1, failures=failures,
+        total_units=2, completed_units=1, failures=[failure],
         coverage={"pings": (1, 2)}))
     assert f"{victim_unit.label} [shard 2/3: {victim}]" in report

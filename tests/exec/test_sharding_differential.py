@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.errors import ConfigurationError
 from repro.exec import (
+    ExecOptions,
     UnitShard,
     atom_count,
     execute_units,
@@ -123,8 +124,8 @@ def test_any_plan_and_steal_order_merges_to_serial(unit_params,
 def test_executor_granularity_is_digest_invariant(granularity, seed):
     units = [SeriesUnit(seed, 7), SeriesUnit(seed + 1, 1),
              SeriesUnit(seed + 2, 4)]
-    serial = execute_units(units, workers=1)
-    sharded = execute_units(units, workers=1, granularity=granularity)
+    serial = execute_units(units)
+    sharded = execute_units(units, ExecOptions(granularity=granularity))
     assert digest_value(sharded) == digest_value(serial)
 
 
@@ -133,8 +134,8 @@ def test_executor_granularity_is_digest_invariant(granularity, seed):
 def test_ping_units_shard_digest_invariant(granularity):
     campaign = Campaign(micro_config(seed=1))
     units = campaign.ping_units()[:2]
-    serial = execute_units(units, workers=1)
-    sharded = execute_units(units, workers=1, granularity=granularity)
+    serial = execute_units(units)
+    sharded = execute_units(units, ExecOptions(granularity=granularity))
     assert digest_value(sharded) == digest_value(serial)
 
 
@@ -143,25 +144,25 @@ def test_ping_units_shard_digest_invariant(granularity):
 
 def test_micro_campaign_sharded_serial_is_digest_identical():
     units = micro_units(seed=3)
-    reference = digest_value(execute_units(units, workers=1))
+    reference = digest_value(execute_units(units))
     for granularity in (2, 5):
-        sharded = execute_units(units, workers=1,
-                                granularity=granularity)
+        sharded = execute_units(units,
+                                ExecOptions(granularity=granularity))
         assert digest_value(sharded) == reference, \
             f"granularity={granularity} diverged from serial"
 
 
 def test_micro_campaign_sharded_pool_is_digest_identical():
     units = micro_units(seed=3)
-    reference = digest_value(execute_units(units, workers=1))
-    sharded = execute_units(units, workers=3, granularity=4)
+    reference = digest_value(execute_units(units))
+    sharded = execute_units(units, ExecOptions(workers=3, granularity=4))
     assert digest_value(sharded) == reference
 
 
 def test_unit_timings_stay_per_unit_and_shards_are_labelled():
     units = micro_units(seed=3)[:3]
     timings, shard_timings = [], []
-    execute_units(units, workers=1, granularity=3, timings=timings,
+    execute_units(units, ExecOptions(granularity=3), timings=timings,
                   shard_timings=shard_timings)
     assert [t.label for t in timings] == [u.label for u in units]
     assert len(shard_timings) >= len(timings)
@@ -213,5 +214,3 @@ def test_plan_passthrough_for_unsplittable_and_g1():
 def test_granularity_validation():
     with pytest.raises(ConfigurationError, match="granularity"):
         plan_shards([SeriesUnit(0, 3)], 0)
-    with pytest.raises(ConfigurationError, match="granularity"):
-        execute_units([SeriesUnit(0, 3)], granularity=0)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.campaign import CampaignConfig
 from repro.exec import (
+    ExecOptions,
     Journal,
     PingSeriesUnit,
     StreamingPingUnit,
@@ -102,7 +103,8 @@ def test_is_streaming_unit_requires_flag_and_hooks():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_shards_fold_in_shard_order(workers):
     unit = RecordingStreamUnit(atoms=8)
-    [result] = execute_units([unit], workers=workers, granularity=4)
+    [result] = execute_units([unit],
+                             ExecOptions(workers=workers, granularity=4))
     assert result == list(range(8))
     # Folds happened strictly in shard order regardless of which
     # worker finished first: each folded tuple starts exactly where
@@ -113,7 +115,7 @@ def test_shards_fold_in_shard_order(workers):
 
 def test_granularity_one_uses_plain_run_path():
     unit = RecordingStreamUnit(atoms=6)
-    [result] = execute_units([unit], workers=1, granularity=1)
+    [result] = execute_units([unit])
     assert result == list(range(6))
 
 
@@ -137,7 +139,8 @@ def test_streamed_executor_digest_identical(workers, granularity):
     cfg = micro_config(seed=5)
     reference = digest_value(batch_reference(cfg)[:2])
     [sink] = execute_units([StreamingPingUnit(cfg, ANCHOR)],
-                           workers=workers, granularity=granularity)
+                           ExecOptions(workers=workers,
+                                       granularity=granularity))
     assert digest_value(sink.to_series()) == reference
 
 
@@ -145,9 +148,9 @@ def test_reservoir_is_independent_of_sharding():
     cfg = micro_config(seed=7)
     samples = []
     for workers, granularity in [(1, 1), (1, 4), (2, 3)]:
-        [sink] = execute_units([StreamingPingUnit(cfg, ANCHOR,
-                                                  reservoir_k=16)],
-                               workers=workers, granularity=granularity)
+        [sink] = execute_units(
+            [StreamingPingUnit(cfg, ANCHOR, reservoir_k=16)],
+            ExecOptions(workers=workers, granularity=granularity))
         samples.append(sink.reservoir.sample())
     for times, values in samples[1:]:
         assert np.array_equal(times, samples[0][0])
@@ -158,7 +161,7 @@ def test_streamed_availability_matches_batch_counts():
     cfg = micro_config(seed=2)
     times, rtts, _ = batch_reference(cfg)
     [sink] = execute_units([StreamingPingUnit(cfg, ANCHOR)],
-                           workers=1, granularity=4)
+                           ExecOptions(granularity=4))
     assert sink.total_probes == rtts.size
     assert sink.lost_probes == int(np.isnan(rtts).sum())
 
@@ -176,15 +179,14 @@ def test_streaming_resume_does_not_replay_aggregated_slices(tmp_path):
     wrapped = wrap_units([unit], tmp_path / "chaos", shard_specs={
         unit.label: {shard: ChaosSpec(interrupt_on=(1,))}})
     with pytest.raises(KeyboardInterrupt):
-        execute_units(wrapped, workers=1, granularity=4,
-                      journal=journal)
+        execute_units(wrapped, ExecOptions(granularity=4, journal=journal))
     # The run died partway: earlier shards are checkpointed.
     assert 0 < len(journal) < 4
 
     wrapped = wrap_units([unit], tmp_path / "chaos", shard_specs={
         unit.label: {shard: ChaosSpec()}})
-    [sink] = execute_units(wrapped, workers=1, granularity=4,
-                           journal=journal)
+    [sink] = execute_units(wrapped,
+                           ExecOptions(granularity=4, journal=journal))
     assert digest_value(sink.to_series()) == reference
     # Aggregated slices fed the reducer straight from the journal:
     # shard 0 was executed exactly once, on the first (killed) run.
@@ -195,13 +197,13 @@ def test_fully_journaled_streaming_run_is_a_pure_replay(tmp_path):
     cfg = micro_config(seed=6)
     journal = Journal(tmp_path / "j")
     unit = StreamingPingUnit(cfg, ANCHOR)
-    [first] = execute_units([unit], workers=1, granularity=4,
-                            journal=journal)
+    [first] = execute_units([unit],
+                            ExecOptions(granularity=4, journal=journal))
     # Chaos that raises on every attempt proves nothing re-executed.
     wrapped = wrap_units([unit], tmp_path / "chaos",
                          default=ChaosSpec(raise_on=(1, 2, 3)))
-    [second] = execute_units(wrapped, workers=1, granularity=4,
-                             journal=journal)
+    [second] = execute_units(wrapped,
+                             ExecOptions(granularity=4, journal=journal))
     assert digest_value(second.to_series()) == digest_value(
         first.to_series())
     assert attempts_made(tmp_path / "chaos", f"{unit.label}#s0-1") == 0
@@ -213,13 +215,14 @@ def test_fully_journaled_streaming_run_is_a_pure_replay(tmp_path):
 def test_track_memory_records_peaks_and_renders_column():
     cfg = micro_config(seed=1)
     timings: list = []
-    execute_units([StreamingPingUnit(cfg, ANCHOR)], workers=1,
-                  granularity=2, timings=timings, track_memory=True)
+    execute_units([StreamingPingUnit(cfg, ANCHOR)],
+                  ExecOptions(granularity=2, track_memory=True),
+                  timings=timings)
     assert timings and all(t.peak_kb > 0.0 for t in timings)
     assert "peak" in render_timings(timings)
 
     untracked: list = []
-    execute_units([StreamingPingUnit(cfg, ANCHOR)], workers=1,
-                  granularity=2, timings=untracked)
+    execute_units([StreamingPingUnit(cfg, ANCHOR)], ExecOptions(granularity=2),
+                  timings=untracked)
     assert all(t.peak_kb == 0.0 for t in untracked)
     assert "peak" not in render_timings(untracked)

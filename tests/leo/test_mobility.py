@@ -19,6 +19,7 @@ from repro.leo.ground import (
     STARLINK_GATEWAYS,
     default_terminal,
 )
+from repro.leo import mobility
 from repro.leo.mobility import (
     FULL_SKY_MASK,
     ObstructionTrace,
@@ -120,6 +121,23 @@ def test_waypoint_trajectory_before_start_stays_at_origin():
                               start_t=100.0)
     assert traj.position_at(0.0) == a
     assert traj.position_at(100.0) == a
+
+
+def test_waypoint_legs_are_measured_once_at_construction(monkeypatch):
+    measured = []
+
+    def counting(a, b):
+        measured.append((a, b))
+        return great_circle_distance(a, b)
+
+    monkeypatch.setattr(mobility, "great_circle_distance", counting)
+    traj = drive_trajectory(seed=3, speed_kmh=90.0)
+    assert len(measured) == len(traj.waypoints) - 1
+    measured.clear()
+    for t in range(0, 7200, 15):
+        traj.position_at(float(t))
+    assert traj.parked_after_s > 0.0
+    assert measured == []
 
 
 def test_waypoint_trajectory_rejects_bad_inputs():

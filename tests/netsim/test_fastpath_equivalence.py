@@ -1,57 +1,34 @@
 """Per-layer digest equivalence for the simulation fast path.
 
-The fast path's contract is *bit-identical* output: every optional
-layer (packet-train link batching with inline fast dispatch, lazy heap
-compaction, the LEO per-slot delay cache) must be free to turn off
-without changing a single timestamp or byte of any result. These
-tests pin that contract per layer:
+The fast path's contract is *bit-identical* output: no optional layer
+(packet-train link batching with inline fast dispatch, lazy heap
+compaction, the LEO per-slot delay cache) may change a single
+timestamp or byte of any result. No layer has a switch; each is
+compared with a reference path the tests build without one:
 
-* a hook-free bottleneck workload where the train/fast-dispatch layer
-  actually engages (asserted via the event count, which it *should*
-  change -- timestamps, never);
-* an end-to-end Starlink ping run crossing handover slots for the LEO
-  delay cache;
-* random scenarios from :mod:`repro.testing.scenarios` for each layer;
-* a miniature full campaign (the same pipeline that produces the
-  benchmark's pinned dataset digest), re-digested with each layer
-  individually disabled.
+* trains and fast dispatch against the per-packet path, which every
+  pipe takes while :func:`repro.testing.invariants.global_checking`
+  watches it -- on a hook-free bottleneck workload where the fast
+  path demonstrably engages (asserted via the event count, which it
+  *should* change -- timestamps, never), and on a miniature full
+  campaign (the pipeline behind the benchmark's pinned digests);
+* the LEO delay cache against a fresh path model per query, across
+  slot boundaries and an outage injection;
+* heap compaction against an analytic oracle, in
+  ``test_engine_fastpath.py``.
 """
-
-import contextlib
 
 import pytest
 
-from repro.apps.ping import PingClient
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.leo.access import StarlinkAccess, StarlinkPathModel
-from repro.leo.geometry import GeoPoint
-from repro.netsim.engine import Simulator
-from repro.netsim.link import Pipe
-from repro.netsim.node import Host
+from repro.leo.access import StarlinkPathModel
+from repro.leo.constellation import Constellation
 from repro.netsim.packet import Packet, Protocol
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.topology import Network
-from repro.testing.digest import digest_dataset, digest_value
-from repro.testing.scenarios import random_scenario, run_and_digest
+from repro.testing.digest import digest_dataset
+from repro.testing.invariants import global_checking
 from repro.units import minutes
-
-#: The process-wide fast-path layer toggles, all True by default.
-TOGGLES = {
-    "trains": (Pipe, "trains_enabled"),
-    "compaction": (Simulator, "compaction_enabled"),
-    "leo-cache": (StarlinkPathModel, "base_cache_enabled"),
-}
-
-
-@contextlib.contextmanager
-def layer_disabled(name: str):
-    cls, attr = TOGGLES[name]
-    assert getattr(cls, attr) is True, f"{name} not at its default"
-    setattr(cls, attr, False)
-    try:
-        yield
-    finally:
-        setattr(cls, attr, True)
 
 
 # -- link trains + inline fast dispatch -------------------------------------
@@ -63,7 +40,7 @@ def _burst_run(queue_capacity, sizes=None, rate=2.1e6,
 
     Hook-free pipes with plain drop-tail queues are exactly what the
     train/fast-dispatch layer accelerates, so this is the workload
-    where toggling it actually changes the executed event sequence.
+    where it executes fewer events than the per-packet path.
     The default sizes, rate and burst spacing are deliberately
     irregular so no cumulative serialisation sum lands float-exactly
     on a send time (exact-tie collisions on bounded queues are the
@@ -98,14 +75,14 @@ def _burst_run(queue_capacity, sizes=None, rate=2.1e6,
     return log, net.sim.events_processed
 
 
-# no_global_invariants: watched pipes are train-ineligible by design
-# (the checker must observe every per-packet method), so under
-# REPRO_INVARIANTS=1 the engagement assertion below would be vacuously
-# false. Watched-pipe eligibility is covered by test_invariants.py.
+# no_global_invariants, here and below: the reference run watches
+# every pipe itself, which keeps it on the per-packet path, and the
+# fast run must stay unwatched for the train path to engage. Under
+# REPRO_INVARIANTS=1 the suite-wide checker would watch both runs.
 @pytest.mark.no_global_invariants
 @pytest.mark.parametrize("capacity", [None, 4, 16])
 def test_trains_layer_is_digest_transparent(capacity):
-    with layer_disabled("trains"):
+    with global_checking():
         slow_log, slow_events = _burst_run(capacity)
     fast_log, fast_events = _burst_run(capacity)
     assert fast_log == slow_log
@@ -115,6 +92,7 @@ def test_trains_layer_is_digest_transparent(capacity):
     assert fast_events < slow_events
 
 
+@pytest.mark.no_global_invariants
 def test_exact_tie_on_bounded_queue_is_the_documented_caveat():
     """Pin the boundary of the fast-path contract (see link.py).
 
@@ -124,22 +102,14 @@ def test_exact_tie_on_bounded_queue_is_the_documented_caveat():
     per-packet path then breaks the pop-vs-push tie by event seq,
     which the collapsed path cannot reproduce, so *which* packet
     takes the last queue slot may differ. Conservation and counts
-    must still hold; per-pipe disabling must restore bit-identity.
-    This test exists so that any change to the documented caveat is
-    a conscious one.
+    must still hold. This test exists so that any change to the
+    documented caveat is a conscious one.
     """
     sizes = [200 + (i % 7) * 150 for i in range(90)]
-
-    def run(trains_enabled):
-        if trains_enabled:
-            return _burst_run(16, sizes=sizes, rate=2e6,
-                              burst_gap=0.002)
-        with layer_disabled("trains"):
-            return _burst_run(16, sizes=sizes, rate=2e6,
-                              burst_gap=0.002)
-
-    fast_log, _ = run(True)
-    slow_log, _ = run(False)
+    fast_log, _ = _burst_run(16, sizes=sizes, rate=2e6, burst_gap=0.002)
+    with global_checking():
+        slow_log, _ = _burst_run(16, sizes=sizes, rate=2e6,
+                                 burst_gap=0.002)
     # Same number of deliveries either way -- one slot, one packet.
     assert len(fast_log) == len(slow_log)
     # Every delivered marker was actually sent, no duplicates.
@@ -151,39 +121,35 @@ def test_exact_tie_on_bounded_queue_is_the_documented_caveat():
 
 # -- LEO per-slot delay cache -----------------------------------------------
 
-
-def _starlink_ping_digest(seed: int) -> str:
-    access = StarlinkAccess(seed=seed, epoch_t=0.0)
-    server = access.add_remote_host("server", "130.104.1.1",
-                                    GeoPoint(50.670, 4.615))
-    access.finalize()
-    pinger = PingClient(access.client, server.address)
-    # 0.5 s spacing for 20 s spans one 15 s reconfiguration slot
-    # boundary, so the cache is filled, hit and invalidated.
-    for i in range(40):
-        access.sim.schedule(0.5 * i, pinger.send_probe, i)
-    access.sim.run_until_idle()
-    result = pinger.result
-    return digest_value((result.sent, result.received,
-                         tuple(result.rtts)))
+#: 0.5 s apart for 20 s: the walk fills, hits and leaves one 15 s slot.
+LEO_QUERY_TIMES = [0.5 * i for i in range(40)]
 
 
 def test_leo_cache_layer_is_digest_transparent():
-    with layer_disabled("leo-cache"):
-        reference = _starlink_ping_digest(3)
-    assert _starlink_ping_digest(3) == reference
+    """One model walked across slot boundaries and an outage injection
+    (which bumps ``scheduler.version``) answers every query exactly as
+    a fresh, cache-empty model built for that query."""
+    constellation = Constellation()
 
+    def fresh(outages, t):
+        model = StarlinkPathModel(constellation=constellation, seed=3)
+        for outage in outages:
+            model.scheduler.add_outage(*outage)
+        return model.base_one_way(t)
 
-# -- random scenarios, every layer ------------------------------------------
-
-
-@pytest.mark.parametrize("name", sorted(TOGGLES))
-@pytest.mark.parametrize("seed", [2, 11])
-def test_property_scenario_digests_survive_each_layer(name, seed):
-    scenario = random_scenario(seed)
-    with layer_disabled(name):
-        reference = run_and_digest(scenario)
-    assert run_and_digest(scenario) == reference
+    walked = StarlinkPathModel(constellation=constellation, seed=3)
+    scheduler = walked.scheduler
+    before = [walked.base_one_way(t) for t in LEO_QUERY_TIMES]
+    # Take the satellite serving the first slot out over the window.
+    outage = (scheduler.snapshot(0.0).sat_index, 0,
+              scheduler.slot_of(LEO_QUERY_TIMES[-1]) + 1)
+    scheduler.add_outage(*outage)
+    after = [walked.base_one_way(t) for t in LEO_QUERY_TIMES]
+    assert after != before       # the outage re-routed cached slots
+    for t, value in zip(LEO_QUERY_TIMES, before):
+        assert value == fresh([], t)
+    for t, value in zip(LEO_QUERY_TIMES, after):
+        assert value == fresh([outage], t)
 
 
 # -- the full campaign pipeline, miniature ----------------------------------
@@ -198,18 +164,13 @@ def _mini_campaign_digest() -> str:
         bulk_per_direction=1, bulk_bytes=300_000,
         messages_per_direction=1, messages_duration_s=1.0,
         web_sites=3, web_visits_per_site=1)
-    return digest_dataset(Campaign(config).run_all(workers=1))
+    return digest_dataset(Campaign(config).run_all())
 
 
-@pytest.fixture(scope="module")
-def mini_campaign_reference():
-    return _mini_campaign_digest()
-
-
-@pytest.mark.parametrize("name", sorted(TOGGLES))
-def test_campaign_digest_survives_each_layer(name,
-                                             mini_campaign_reference):
-    """The dataset pipeline behind the benchmark's pinned digest must
-    re-digest identically with each fast-path layer individually off."""
-    with layer_disabled(name):
-        assert _mini_campaign_digest() == mini_campaign_reference
+@pytest.mark.no_global_invariants
+def test_campaign_digest_matches_per_packet_reference():
+    """The dataset pipeline behind the benchmark's pinned digests must
+    digest identically when every pipe takes the per-packet path."""
+    with global_checking():
+        reference = _mini_campaign_digest()
+    assert _mini_campaign_digest() == reference
