@@ -288,8 +288,12 @@ def run_artefact(name: str, campaign: Campaign, cache: dict) -> None:
             _emit(notes)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser.
+
+    Flags that map onto :class:`ExecOptions` take their defaults from
+    its fields, so the CLI and the library run a campaign alike.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate artefacts from 'A First Look at "
@@ -342,18 +346,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="fleet size (implies nothing on its own; "
                              f"default {DEFAULT_FLEET_TERMINALS} when "
                              "fleet mode is enabled)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="campaign worker processes (default 1; "
-                             "results are identical for any value)")
-    parser.add_argument("--shard-granularity", type=int, default=1,
-                        metavar="G",
+    parser.add_argument("--workers", type=int,
+                        default=ExecOptions.workers,
+                        help="campaign worker processes (default "
+                             "%(default)s; results are identical for "
+                             "any value)")
+    parser.add_argument("--shard-granularity", type=int,
+                        default=ExecOptions.granularity, metavar="G",
                         help="split each splittable work unit into up "
                              "to G shards for work-stealing dispatch "
-                             "(default 1); results are identical for "
-                             "any value")
+                             "(default %(default)s); results are "
+                             "identical for any value")
     parser.add_argument("--timing", action="store_true",
                         help="print a per-unit wall-clock breakdown")
-    parser.add_argument("--profile", metavar="DIR", default=None,
+    parser.add_argument("--profile", metavar="DIR",
+                        default=ExecOptions.profile_dir,
                         help="dump per-work-unit cProfile stats "
                              "(*.pstats) into DIR")
     parser.add_argument("--journal", metavar="DIR", default=None,
@@ -364,20 +371,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="allow --journal to reuse a directory "
                              "that already holds checkpoints "
                              "(continue an interrupted campaign)")
-    parser.add_argument("--retries", type=int, default=0,
+    parser.add_argument("--retries", type=int,
+                        default=ExecOptions.retries,
                         help="extra attempts per failing work unit "
-                             "(default 0)")
-    parser.add_argument("--retry-backoff", type=float, default=0.5,
-                        metavar="S",
+                             "(default %(default)s)")
+    parser.add_argument("--retry-backoff", type=float,
+                        default=ExecOptions.retry_backoff_s, metavar="S",
                         help="base backoff before a retry, doubled "
-                             "per attempt (default 0.5s)")
-    parser.add_argument("--unit-timeout", type=float, default=None,
-                        metavar="S",
+                             "per attempt (default %(default)ss)")
+    parser.add_argument("--unit-timeout", type=float,
+                        default=ExecOptions.unit_timeout, metavar="S",
                         help="per-attempt wall-clock budget; a unit "
                              "exceeding it is re-dispatched to a "
                              "fresh worker")
     parser.add_argument("--failure-policy", choices=FAILURE_POLICIES,
-                        default="raise",
+                        default=ExecOptions.failure_policy,
                         help="'raise' aborts on the first exhausted "
                              "unit; 'degrade' finishes with partial "
                              "datasets plus a degradation report")
@@ -398,9 +406,27 @@ def main(argv: list[str] | None = None) -> int:
                              "ladder on a budget breach; 'raise' "
                              "escalates the first breach")
     parser.add_argument("--track-memory", action="store_true",
+                        default=ExecOptions.track_memory,
                         help="measure each work unit's peak heap "
                              "(tracemalloc) and add a peak column to "
                              "--timing")
+    return parser
+
+
+def _exec_options(args: argparse.Namespace) -> ExecOptions:
+    """The execution options the parsed flags ask for, journal aside
+    (it is opened only once these hold)."""
+    return ExecOptions(
+        workers=args.workers, granularity=args.shard_granularity,
+        retries=args.retries, retry_backoff_s=args.retry_backoff,
+        unit_timeout=args.unit_timeout,
+        failure_policy=args.failure_policy,
+        profile_dir=args.profile, track_memory=args.track_memory)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point."""
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.terminals is not None and args.terminals < 1:
         parser.error(f"--terminals must be >= 1, got {args.terminals}")
@@ -423,12 +449,7 @@ def main(argv: list[str] | None = None) -> int:
                      f"{args.memory_budget_mb}")
 
     try:
-        options = ExecOptions(
-            workers=args.workers, granularity=args.shard_granularity,
-            retries=args.retries, retry_backoff_s=args.retry_backoff,
-            unit_timeout=args.unit_timeout,
-            failure_policy=args.failure_policy,
-            profile_dir=args.profile, track_memory=args.track_memory)
+        options = _exec_options(args)
         # Open (and create) the journal only once the options hold.
         if args.journal is not None:
             options = replace(options, journal=Journal(

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import AnalysisError
 from repro.rng import stable_seed
@@ -120,7 +119,12 @@ def moods_median_test(*groups) -> tuple[float, float]:
 
     The paper uses it to show hour-of-day RTT distributions share a
     median (no diurnal pattern).
+
+    scipy is imported here, at its only use: the import costs more
+    than building a campaign, and most runs never test medians.
     """
+    from scipy import stats as scipy_stats
+
     cleaned = [np.asarray(list(g), dtype=float) for g in groups]
     if len(cleaned) < 2 or any(g.size == 0 for g in cleaned):
         raise AnalysisError("need at least two non-empty groups")
@@ -275,12 +279,14 @@ def _merge_centroids(means: np.ndarray, weights: np.ndarray,
     out_w: list[float] = []
     out_lo: list[float] = []
     out_hi: list[float] = []
-    cur_m, cur_w = float(means[0]), float(weights[0])
-    cur_lo, cur_hi = float(lows[0]), float(highs[0])
+    # Python floats: the same arithmetic without a numpy scalar per
+    # element.
+    rows = zip(means.tolist(), weights.tolist(), lows.tolist(),
+               highs.tolist())
+    cur_m, cur_w, cur_lo, cur_hi = next(rows)
     w_before = 0.0
     q_limit = _k_scale_inv(_k_scale(0.0, delta) + 1.0, delta)
-    for m, w, lo, hi in zip(means[1:], weights[1:], lows[1:], highs[1:]):
-        m, w, lo, hi = float(m), float(w), float(lo), float(hi)
+    for m, w, lo, hi in rows:
         if cur_lo == cur_hi == lo == hi:
             cur_w += w
         elif (w_before + cur_w + w) / total <= q_limit:

@@ -36,8 +36,10 @@ digest-identical to a scenario-less run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.errors import DisruptionError
+from repro.intervals import IntervalIndex
 
 #: Valid window kinds.
 WINDOW_KINDS = ("fade", "blackout", "gateway_out", "surge")
@@ -115,9 +117,29 @@ class DisruptionSchedule:
         """True when the schedule disrupts nothing (clear sky)."""
         return not self.windows
 
-    def _active(self, t: float, kind: str):
-        return (w for w in self.windows
-                if w.kind == kind and w.active(t))
+    @cached_property
+    def _by_kind(self) -> dict[str, tuple[tuple[DisruptionWindow, ...],
+                                          IntervalIndex]]:
+        """Per kind: its windows in schedule order and their interval
+        index. Derived from ``windows`` and not a field, so equality,
+        hashing and ``repr`` ignore it; every new schedule builds its
+        own."""
+        by_kind = {}
+        for kind in WINDOW_KINDS:
+            of_kind = tuple(w for w in self.windows if w.kind == kind)
+            if of_kind:
+                by_kind[kind] = (of_kind, IntervalIndex(
+                    (w.start_t, w.end_t) for w in of_kind))
+        return by_kind
+
+    def _active(self, t: float, kind: str) -> list[DisruptionWindow]:
+        """Windows of ``kind`` covering ``t``, in schedule order (so
+        products over them multiply in a fixed order)."""
+        entry = self._by_kind.get(kind)
+        if entry is None:
+            return []
+        windows, index = entry
+        return [windows[i] for i in index.active(t)]
 
     # -- channel-facing queries ----------------------------------------
 
@@ -140,7 +162,8 @@ class DisruptionSchedule:
 
     def blackout_at(self, t: float) -> bool:
         """Whether any blackout (link or route) covers ``t``."""
-        return any(True for w in self._active(t, "blackout"))
+        entry = self._by_kind.get("blackout")
+        return entry is not None and entry[1].covers(t)
 
     # -- window extraction for installers ------------------------------
 

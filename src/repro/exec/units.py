@@ -297,7 +297,7 @@ def _ping_chunk_probes(cfg: "CampaignConfig", anchor_name: str,
                     "chunk", atom))
     times: list[float] = []
     rtts: list[float] = []
-    for t in round_times[atom * chunk:(atom + 1) * chunk]:
+    for t in round_times[atom * chunk:(atom + 1) * chunk].tolist():
         try:
             pop = model.pop_location(t)
         except ConfigurationError:
@@ -857,14 +857,14 @@ class FleetTerminalUnit:
         times: list[float] = []
         rtts: list[float] = []
         shares: list[float] = []
-        for t in self._round_times()[atom * chunk:(atom + 1) * chunk]:
+        rounds = self._round_times()[atom * chunk:(atom + 1) * chunk]
+        for t in rounds.tolist():
             try:
-                shares.append(
-                    ctx.fleet.capacity_share(self.index, float(t)))
+                shares.append(ctx.fleet.capacity_share(self.index, t))
             except ConfigurationError:
                 shares.append(math.nan)
             for probe in range(cfg.pings_per_round):
-                probe_t = float(t) + probe * 1.0
+                probe_t = t + probe * 1.0
                 times.append(probe_t)
                 if disruption.blackout_at(probe_t):
                     rtts.append(math.nan)

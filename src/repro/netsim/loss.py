@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_right
 from collections import OrderedDict
 from typing import Protocol as TypingProtocol
 
 from repro.errors import ConfigurationError
+from repro.intervals import IntervalIndex
 
 
 class LossModel(TypingProtocol):
@@ -249,16 +249,8 @@ class OutageSchedule:
                 raise ConfigurationError(
                     f"outage duration must be >= 0, got {duration}")
         self.outages = sorted(outages)
-        self._starts = [start for start, _ in self.outages]
-        # _reach[i]: the latest end among the first i+1 windows, so an
-        # early long window still covers a later short one's tail.
-        self._reach = []
-        reach = -math.inf
-        for start, duration in self.outages:
-            end = start + duration
-            if end > reach:
-                reach = end
-            self._reach.append(reach)
+        self._index = IntervalIndex(
+            (start, start + duration) for start, duration in self.outages)
 
     @classmethod
     def poisson(cls, horizon: float, rate_per_hour: float,
@@ -279,8 +271,7 @@ class OutageSchedule:
 
     def in_outage(self, now: float) -> bool:
         """Whether ``now`` falls inside any scheduled outage."""
-        begun = bisect_right(self._starts, now)
-        return begun > 0 and now < self._reach[begun - 1]
+        return self._index.covers(now)
 
     def is_lost(self, now: float) -> bool:
         return self.in_outage(now)

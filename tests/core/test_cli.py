@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _exec_options, main
+from repro.exec import ExecOptions
 
 
 def test_fig1_artefact(capsys):
@@ -91,3 +92,12 @@ def test_negative_retries_rejected():
 def test_unknown_failure_policy_rejected():
     with pytest.raises(SystemExit):
         main(["fig1", "--failure-policy", "retry-forever"])
+
+
+def test_exec_flag_defaults_are_exec_options_defaults():
+    parser = _build_parser()
+    assert _exec_options(parser.parse_args(["fig1"])) == ExecOptions()
+    assert parser.parse_args(["fig1"]).journal is None
+    help_text = " ".join(parser.format_help().split())
+    assert (f"per attempt (default {ExecOptions.retry_backoff_s}s)"
+            in help_text)

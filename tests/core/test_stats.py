@@ -1,5 +1,10 @@
 """Tests for the statistics helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +89,25 @@ def test_moods_test_shifted_medians_reject():
 def test_moods_test_needs_two_groups():
     with pytest.raises(AnalysisError):
         moods_median_test([1, 2, 3])
+
+
+def test_campaign_and_cli_import_without_scipy():
+    """scipy serves Mood's test alone and loads only when it runs: a
+    fresh interpreter that imports the campaign and the CLI has not
+    paid for it."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    code = ("import sys, repro.core.campaign, repro.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_time_binned_percentiles():
