@@ -7,6 +7,13 @@ rarer but longer (sometimes >100 packets); H3 download loss events
 are mostly tens of microseconds long with a millisecond tail, while
 message-transfer events reach ~100 ms at the 95th percentile; both
 workloads show occasional >1 s outages.
+
+The >1 s outages do not reproduce here: the rendered artefact
+(``benchmarks/output/fig4_loss_bursts.txt``) counts ``>1s events=0``
+in every cell, because the access channel's Poisson outages end 48 h
+after campaign t=0, before the first packet-level unit starts. Nothing
+below asserts them; ROADMAP's "Epoch-local, seed-honouring access
+channels" item is the fix.
 """
 
 from repro.core.loss_events import table2_loss_ratios

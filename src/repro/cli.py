@@ -55,8 +55,9 @@ The default ``--trajectory stationary`` is bit-identical to the
 classic fixed-terminal pipeline.
 
 Longitudinal (month-scale) campaigns: ``--streaming`` routes the ping
-pipeline through constant-memory sinks (bit-identical to the batch
-path while exact), ``--duration-days D`` stretches the campaign,
+pipeline through streaming sinks (bit-identical to the batch path
+while exact) whose memory grows with the campaign clock, not with the
+sample count; ``--duration-days D`` stretches the campaign,
 ``--memory-budget-mb M`` arms the resource governor (degrade
 precision in recorded stages instead of OOMing; ``--resource-policy
 raise`` escalates the first breach instead) and ``--track-memory``
@@ -390,9 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "unit; 'degrade' finishes with partial "
                              "datasets plus a degradation report")
     parser.add_argument("--streaming", action="store_true",
-                        help="run the ping campaign through constant-"
-                             "memory streaming sinks (bit-identical "
-                             "to the batch path while exact)")
+                        help="run the ping campaign through streaming "
+                             "sinks (bit-identical to the batch path "
+                             "while exact)")
     parser.add_argument("--memory-budget-mb", type=float, default=None,
                         metavar="M",
                         help="memory budget for the streaming ping "

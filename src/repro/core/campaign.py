@@ -160,8 +160,8 @@ class CampaignConfig:
     #: share of its serving satellite.
     fleet_speedtest_epochs: int = 1
     #: Streaming ping pipeline: aggregate each anchor's series through
-    #: constant-memory sinks instead of materialised arrays (month-
-    #: scale campaigns; see :meth:`Campaign.run_pings_streaming`).
+    #: streaming sinks instead of materialised arrays (month-scale
+    #: campaigns; see :meth:`Campaign.run_pings_streaming`).
     #: While no sink degrades, the streamed dataset reconstructs the
     #: batch one bit for bit.
     streaming_pings: bool = False
@@ -448,7 +448,7 @@ class Campaign:
         return self._merge_pings(series)
 
     def run_pings_streaming(self) -> StreamingPingDataset:
-        """The ping campaign through constant-memory sinks.
+        """The ping campaign through streaming sinks.
 
         Shard payloads are partial :class:`~repro.core.datasets.
         PingAnchorSink` aggregates folded in shard order by the

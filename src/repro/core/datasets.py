@@ -76,19 +76,21 @@ class PingDataset:
 class PingAnchorSink:
     """Streaming accumulator for one anchor's ping series.
 
-    The constant-memory counterpart of one ``PingDataset.series``
-    entry. While **exact** (total samples below ``exact_threshold``
+    The counterpart of one ``PingDataset.series`` entry. While
+    **exact** (total samples below ``exact_threshold``
     and no budget pressure) the raw ``(times, rtts)`` chunks are
     retained, every query routes through the same numpy the batch
     dataset uses, and :meth:`to_series` reproduces the batch arrays
     bit for bit. Once **streaming**, the chunks collapse into a
     quantile sketch + time-bin aggregate + seeded reservoir (for
-    ECDF plots) and memory stops growing with campaign duration;
-    the per-instant availability counts stay exact in both modes.
+    ECDF plots) and memory grows with the campaign clock, not with
+    the sample count: the availability counts stay exact, one per
+    probe instant, and the time-bin aggregate keeps one sketch per
+    6 h bin.
 
     Mergeable in shard order: ``merge`` appends the other sink's
     state as if its chunks had been added here, so the executor's
-    arrival-order reduce reproduces the serial result.
+    in-order fold reproduces the serial result.
     """
 
     #: Fig. 2 bin width (6 h), the campaign's default time binning.

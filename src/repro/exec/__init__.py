@@ -2,8 +2,10 @@
 
 ``repro.exec`` decomposes the measurement campaign into independent,
 picklable work units (:mod:`repro.exec.units`) and executes them
-serially or on a process pool with a deterministic ordered merge
-(:mod:`repro.exec.runner`). Parallel output is bit-identical to the
+through one supervisor, in-process or on a process pool, with a
+deterministic ordered merge (:mod:`repro.exec.runner`); split units
+fold their shards in order (:mod:`repro.exec.sharding`). Parallel
+and sharded output is bit-identical to the
 serial run for the same seed; ``tests/core/test_campaign_parallel.py``
 pins that with the trace-digest machinery.
 
@@ -28,10 +30,8 @@ from repro.exec.resources import (
 )
 from repro.exec.sharding import (
     SplittableUnit,
-    StreamingUnit,
     UnitShard,
     atom_count,
-    is_streaming_unit,
     plan_shards,
     shard_label,
     task_cost,
@@ -79,7 +79,6 @@ __all__ = [
     "SpeedtestUnit",
     "SplittableUnit",
     "StreamingPingUnit",
-    "StreamingUnit",
     "UnitFailure",
     "UnitShard",
     "UnitTiming",
@@ -90,7 +89,6 @@ __all__ = [
     "default_workers",
     "fleet_context_for",
     "execute_units",
-    "is_streaming_unit",
     "plan_shards",
     "render_timings",
     "shard_label",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import MemoryBudgetError, ResourceError
 
@@ -74,9 +74,6 @@ class MemoryWatchdog:
     deterministic sample-count triggers.
     """
 
-    def __init__(self) -> None:
-        self.samples: list[MemorySample] = []
-
     @staticmethod
     def rss_bytes() -> int:
         try:
@@ -92,15 +89,8 @@ class MemoryWatchdog:
         traced = peak = 0
         if tracemalloc.is_tracing():
             traced, peak = tracemalloc.get_traced_memory()
-        sample = MemorySample(rss_bytes=self.rss_bytes(),
-                              traced_bytes=traced,
-                              traced_peak_bytes=peak)
-        self.samples.append(sample)
-        return sample
-
-    @property
-    def peak_rss_bytes(self) -> int:
-        return max((s.rss_bytes for s in self.samples), default=0)
+        return MemorySample(rss_bytes=self.rss_bytes(),
+                            traced_bytes=traced, traced_peak_bytes=peak)
 
 
 class ResourceBudget:
@@ -110,28 +100,25 @@ class ResourceBudget:
     sinks report how many raw samples they still hold, and crossing
     the budget advances the ladder. ``max_bytes`` arms the
     opportunistic governor on the watchdog's RSS/tracemalloc
-    readings. ``hard_cap_bytes`` is the line past which the run
-    raises :class:`MemoryBudgetError` rather than degrade further.
+    readings. Past the last stage the run raises
+    :class:`MemoryBudgetError` rather than degrade further.
     """
 
     def __init__(self,
                  max_resident_samples: int | None = None,
                  max_bytes: int | None = None,
-                 hard_cap_bytes: int | None = None,
                  policy: str = "degrade") -> None:
         if policy not in RESOURCE_POLICIES:
             raise ResourceError(
                 f"unknown resource policy {policy!r}; "
                 f"choose from {RESOURCE_POLICIES}")
         for name, value in (("max_resident_samples", max_resident_samples),
-                            ("max_bytes", max_bytes),
-                            ("hard_cap_bytes", hard_cap_bytes)):
+                            ("max_bytes", max_bytes)):
             if value is not None and value <= 0:
                 raise ResourceError(f"{name} must be positive, "
                                     f"got {value}")
         self.max_resident_samples = max_resident_samples
         self.max_bytes = max_bytes
-        self.hard_cap_bytes = hard_cap_bytes
         self.policy = policy
         self.watchdog = MemoryWatchdog()
         self.events: list[PrecisionEvent] = []
@@ -191,18 +178,6 @@ class ResourceBudget:
             "hard memory cap: every degradation stage exhausted "
             f"({reason}); completed units are checkpointed — "
             "rerun with --resume to continue")
-
-    def check_hard_cap(self) -> None:
-        """Advisory byte-level hard cap (watchdog-measured)."""
-        if self.hard_cap_bytes is None:
-            return
-        sample = self.watchdog.poll()
-        observed = max(sample.traced_bytes, sample.rss_bytes)
-        if observed > self.hard_cap_bytes:
-            raise MemoryBudgetError(
-                f"hard memory cap: resident bytes {observed} > "
-                f"cap {self.hard_cap_bytes}; completed units are "
-                "checkpointed — rerun with --resume to continue")
 
     # -- reporting ---------------------------------------------------
 

@@ -1,23 +1,26 @@
-"""Work-unit executor: serial or process-parallel, identical output.
+"""Work-unit executor: one supervisor, in-process or on a pool.
 
 The contract is strict: ``execute_units(units, ExecOptions(workers=N,
 granularity=g))`` returns payloads in the order the units were given,
-bit-identical for every ``(N, g)``. Serial execution (``workers=1``)
-is the degenerate case — it calls the same task code path a pool
-worker uses, so there is no separate serial implementation to drift.
-Parallel execution keeps one task per free worker slot in flight and
-merges results by input index, which preserves submission order no
-matter which worker finished first.
+bit-identical for every ``(N, g)``. Every batch runs through one
+supervisor, which keeps at most ``workers`` tasks in flight on a
+backend and records results by input index. With one worker and no
+``unit_timeout`` the backend runs each task in this process the moment
+it is submitted; otherwise it is a process pool. Retry, backoff,
+failure policy, journaling and interrupt handling are the same code
+on both, so there is no separate serial implementation to drift.
 
 ``granularity > 1`` additionally splits units that implement the
 atoms contract (:mod:`repro.exec.sharding`) into up to ``g`` shards
-each. Dispatch is work-stealing in spirit: every free worker slot is
-handed the *largest remaining* runnable shard, so a long-pole unit's
-shards spread across the pool instead of serialising behind one
-worker. Results are merged by ``(unit index, shard index)`` through
-the unit's ordered ``merge_atoms``, which is the same merge
-``unit.run()`` itself performs — sharded output is therefore
-identical to serial by construction, not by scheduling luck.
+each. One task in flight runs the tasks in input order; a wider pool
+is work-stealing in spirit: every free worker slot is handed the
+*largest remaining* runnable shard, so a long-pole unit's shards
+spread across the pool instead of serialising behind one worker.
+Each split unit folds its shard payloads through its own
+``init_partial`` / ``merge_partial`` / ``finalize`` strictly in shard
+order, which is the same fold ``unit.run()`` performs over one shard
+of every atom — sharded output is therefore identical to serial by
+construction, not by scheduling luck.
 
 On top of that sits the crash-safety layer:
 
@@ -62,10 +65,9 @@ from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError, UnitExecutionError
 from repro.exec.journal import Journal
-from repro.exec.sharding import (UnitShard, is_streaming_unit,
-                                 plan_shards, task_cost)
+from repro.exec.sharding import UnitShard, plan_shards, task_cost
 
-#: Poll interval of the pool supervisor loop (seconds). Short enough
+#: Poll interval of the supervisor loop (seconds). Short enough
 #: that timeout enforcement is prompt, long enough to stay off the CPU.
 _POLL_S = 0.05
 
@@ -269,9 +271,9 @@ def _run_one(unit, index: int, profile_dir: str | None,
                                elapsed_s=elapsed, peak_kb=peak_kb)
 
 
-def _pool_run_one(unit, index: int, profile_dir: str | None,
-                  track_memory: bool) -> tuple:
-    """Worker-side wrapper: exceptions become data, never pool poison.
+def _run_task(unit, index: int, profile_dir: str | None,
+              track_memory: bool) -> tuple:
+    """Backend-side wrapper: exceptions become data, never pool poison.
 
     A task ships only the two options the unit's own process needs;
     the journal stays with the supervisor, which records results.
@@ -285,8 +287,8 @@ def _pool_run_one(unit, index: int, profile_dir: str | None,
     return ("ok", payload, timing)
 
 
-def _stop_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down without orphaning workers: kill, cancel, reap."""
+def _stop_pool(pool) -> None:
+    """Shut a backend down without orphaning workers: kill, cancel, reap."""
     procs = list((getattr(pool, "_processes", None) or {}).values())
     for proc in procs:
         if proc.is_alive():
@@ -296,16 +298,36 @@ def _stop_pool(pool: ProcessPoolExecutor) -> None:
         proc.join(timeout=5.0)
 
 
-class _PoolSupervisor:
-    """Submit-window pool driver with retry, timeout and rebuild.
+class _InProcess:
+    """The backend of one task in flight with no timeout to enforce.
+
+    ``submit`` runs the task in this process at once and returns its
+    completed future; a ``KeyboardInterrupt`` propagates out of it.
+    """
+
+    def submit(self, fn, *args) -> _cf.Future:
+        future = _cf.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait: bool = True,
+                 cancel_futures: bool = False) -> None:
+        pass
+
+
+class _Supervisor:
+    """Submit-window loop with retry, timeout and rebuild.
 
     At most ``workers`` tasks are in flight at any moment; completed
     futures are reaped by index, a broken pool is rebuilt, and tasks
     whose wall clock exceeds ``unit_timeout`` are abandoned by killing
-    the pool and re-dispatching survivors to a fresh one. Dispatch
-    order is largest-cost-first among runnable tasks (the work-
-    stealing rule), which only shapes wall clock — the ordered merge
-    by index makes the output independent of scheduling.
+    the pool and re-dispatching survivors to a fresh one. The backend
+    is a process pool exactly when ``workers > 1`` or a timeout is
+    set, and :class:`_InProcess` otherwise. One task in flight runs
+    the runnable tasks in input order; a wider pool takes the largest
+    first (the work-stealing rule). Either order only shapes wall
+    clock — the ordered merge by index makes the output independent
+    of scheduling.
     """
 
     def __init__(self, todo: list[tuple[int, object]],
@@ -320,8 +342,14 @@ class _PoolSupervisor:
         self.inflight: dict = {}               # future -> (i, unit, attempt, t0)
         self.outcomes: dict[int, object] = {}
 
+    def _backend(self):
+        options = self.options
+        if options.workers > 1 or options.unit_timeout is not None:
+            return ProcessPoolExecutor(max_workers=self.workers)
+        return _InProcess()
+
     def run(self) -> dict[int, object]:
-        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        self.pool = self._backend()
         try:
             while self.pending or self.inflight:
                 self._dispatch()
@@ -339,19 +367,23 @@ class _PoolSupervisor:
     def _dispatch(self) -> None:
         now = time.monotonic()
         while self.pending and len(self.inflight) < self.workers:
-            # Steal the biggest runnable task for the free slot (ties
-            # break toward the earlier task index, deterministically).
+            # One slot takes the earliest runnable task; a wider pool
+            # steals the biggest one (ties break toward the earlier
+            # task index, deterministically).
             ready = [k for k, (i, _, _) in enumerate(self.pending)
                      if self.ready_at.get(i, 0.0) <= now]
             if not ready:
                 break
-            slot = max(ready,
-                       key=lambda k: (self.costs[self.pending[k][0]],
-                                      -self.pending[k][0]))
+            if self.workers == 1:
+                slot = min(ready, key=lambda k: self.pending[k][0])
+            else:
+                slot = max(ready,
+                           key=lambda k: (self.costs[self.pending[k][0]],
+                                          -self.pending[k][0]))
             index, unit, attempt = self.pending.pop(slot)
             try:
                 future = self.pool.submit(
-                    _pool_run_one, unit, index,
+                    _run_task, unit, index,
                     self.options.profile_dir, self.options.track_memory)
             except _cf.BrokenExecutor:
                 # Pool died between reaps; put the unit back and let
@@ -382,8 +414,8 @@ class _PoolSupervisor:
                 status = future.result()
                 if status[0] == "ok":
                     _, payload, timing = status
-                    # record_ok may consume the payload (streaming
-                    # reduce): keep whatever it hands back.
+                    # record_ok may consume the payload (a split
+                    # unit's fold): keep whatever it hands back.
                     self.outcomes[index] = (
                         self.record_ok(index, payload, timing), timing)
                 else:
@@ -418,7 +450,7 @@ class _PoolSupervisor:
                 "worker pool broke while the unit was in flight", "")
         self.inflight.clear()
         _stop_pool(self.pool)
-        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        self.pool = self._backend()
 
     def _enforce_timeout(self) -> None:
         budget = self.options.unit_timeout
@@ -442,7 +474,7 @@ class _PoolSupervisor:
                 self.pending.append((index, unit, attempt))
         self.inflight.clear()
         _stop_pool(self.pool)
-        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        self.pool = self._backend()
 
     def _attempt_failed(self, index: int, unit, attempt: int,
                         error_type: str, message: str, tb: str) -> None:
@@ -451,25 +483,26 @@ class _PoolSupervisor:
                 self.options.retry_backoff_s, attempt)
             self.pending.append((index, unit, attempt + 1))
             return
-        failure = _failure_for(unit, error_type, message, tb, attempt)
         if self.options.failure_policy == "raise":
             raise UnitExecutionError(
                 f"{_describe_task(unit)} failed after {attempt} "
-                f"attempt(s): {error_type}: {message}")
-        self.outcomes[index] = failure
+                f"attempt(s): {error_type}: {message}"
+                + (f"\n{tb.rstrip()}" if tb else ""))
+        self.outcomes[index] = _failure_for(unit, error_type, message,
+                                            tb, attempt)
 
 
 class _PrefixReducer:
-    """Arrival-order streaming reduce for one splittable unit.
+    """Arrival-order, in-shard-order fold of one split unit.
 
     Shard payloads are merged into a single accumulator the moment
     the merged prefix is contiguous; later arrivals wait in ``held``
     (bounded by the in-flight window, i.e. the worker count). Merges
     therefore always happen in shard order — deterministic no matter
     which worker finishes first — and the raw shard payloads are
-    dropped as they fold in, which is what keeps a month-scale unit's
-    memory constant during the run instead of spiking at the final
-    merge.
+    dropped as they fold in, so a unit whose fold keeps a small
+    accumulator (a month-scale ping sink) never holds every shard
+    payload at once.
     """
 
     def __init__(self, unit):
@@ -496,46 +529,6 @@ class _PrefixReducer:
 _REDUCED = "<reduced>"
 
 
-def _execute_serial(todo: list[tuple[int, object]],
-                    options: ExecOptions,
-                    record_ok: Callable[[int, object, UnitTiming], object]
-                    ) -> dict[int, object]:
-    outcomes: dict[int, object] = {}
-    for index, unit in todo:
-        attempt = 1
-        while True:
-            try:
-                payload, timing = _run_one(unit, index,
-                                           options.profile_dir,
-                                           options.track_memory)
-            except KeyboardInterrupt:
-                # Completed units are already journaled (stores are
-                # per-unit and atomic), so the run is resumable as-is.
-                raise
-            except Exception as exc:
-                if attempt <= options.retries:
-                    delay = _backoff_s(options.retry_backoff_s, attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                failure = _failure_for(
-                    unit, type(exc).__name__, str(exc),
-                    traceback.format_exc(), attempt)
-                if options.failure_policy == "raise":
-                    raise UnitExecutionError(
-                        f"{_describe_task(unit)} failed after "
-                        f"{attempt} attempt(s): "
-                        f"{type(exc).__name__}: {exc}") from exc
-                outcomes[index] = failure
-                break
-            else:
-                outcomes[index] = (record_ok(index, payload, timing),
-                                   timing)
-                break
-    return outcomes
-
-
 def execute_units(units: Sequence,
                   options: ExecOptions = ExecOptions(), *,
                   timings: list[UnitTiming] | None = None,
@@ -544,26 +537,28 @@ def execute_units(units: Sequence,
     """Run ``units`` under ``options`` and return their payloads in
     input order.
 
-    ``workers=1`` executes in-process; ``workers>1`` fans out over a
-    process pool. Per-unit wall clock (as seen by the process that
-    ran the unit) is appended to ``timings`` when given, also in
-    input order. With ``profile_dir`` set, each unit runs under
+    ``workers=1`` executes in-process, in input order; ``workers>1``
+    fans out over a process pool. Per-unit wall clock (as seen by the
+    process that ran the unit) is appended to ``timings`` when given,
+    also in input order. With ``profile_dir`` set, each unit runs under
     cProfile and dumps ``<index>-<label>.pstats`` into that directory
     (the timing then includes profiler overhead; use it for hotspot
     hunting, not for benchmark numbers).
 
     ``granularity`` splits each splittable unit into up to that many
     shards (:func:`repro.exec.sharding.plan_shards`); the pool steals
-    the largest remaining shard per free slot and the ordered merge
-    makes the payloads bit-identical to ``granularity=1`` for every
-    worker count. Retry, timeout, journaling and failure policy all
-    apply per shard — journal keys include the shard's atom range, so
-    a resume at the *same* granularity never re-runs a completed
-    shard (a different granularity re-runs cheaply but stays
-    digest-identical). ``timings`` still records one entry per unit
-    (the sum of its shard wall clocks); ``shard_timings`` additionally
-    records each executed shard under its ``label#s<start>-<stop>``
-    shard label.
+    the largest remaining shard per free slot, and each unit folds its
+    shard payloads in shard order as they arrive (``init_partial`` /
+    ``merge_partial`` / ``finalize``), which makes the payloads
+    bit-identical to ``granularity=1`` for every worker count. Retry,
+    timeout, journaling and failure policy all apply per shard —
+    journal keys include the shard's atom range, so a resume at the
+    *same* granularity never re-runs a completed shard (a different
+    granularity re-runs cheaply but stays digest-identical), and
+    journaled shards replay through the same fold. ``timings`` still
+    records one entry per unit (the sum of its shard wall clocks);
+    ``shard_timings`` additionally records each executed shard under
+    its ``label#s<start>-<stop>`` shard label.
 
     Crash safety:
 
@@ -574,10 +569,12 @@ def execute_units(units: Sequence,
       after a failure (exception, worker death, timeout), with
       deterministic exponential backoff ``retry_backoff_s * 2**(k-1)``.
     * ``unit_timeout`` bounds each attempt's wall clock; enforcing it
-      requires a worker process, so the pool path is used even with
+      requires a worker process, so the pool backend is used even with
       ``workers=1``. A timed-out unit is re-dispatched to a fresh pool.
     * ``failure_policy="raise"`` (default) aborts on the first unit
-      that exhausts its attempts; ``"degrade"`` finishes the run and
+      that exhausts its attempts with a
+      :class:`~repro.errors.UnitExecutionError` that carries the
+      failing task's traceback; ``"degrade"`` finishes the run and
       returns the :class:`UnitFailure` record *in place of* that
       unit's payload — callers filter with
       ``isinstance(p, UnitFailure)``.
@@ -589,17 +586,6 @@ def execute_units(units: Sequence,
     in the process that ran the task, so pool workers report their own
     heaps. Tracing roughly doubles allocation cost; leave it off for
     benchmark timing runs.
-
-    Units with a truthy ``streaming`` attribute implementing the
-    partial-aggregate contract (``init_partial`` / ``merge_partial`` /
-    ``finalize``, see :mod:`repro.exec.sharding`) are reduced in
-    *arrival order*: each shard's partial aggregate folds into the
-    unit's accumulator as soon as the shard-index prefix is
-    contiguous, instead of accumulating every shard payload for one
-    big ``merge_atoms`` at the end. The fold always proceeds in shard
-    order, so the result is deterministic (and digest-identical to
-    serial) for every worker count; journaled shards replay through
-    the same fold on resume, without re-running the slice.
     """
     units = list(units)
     if not units:
@@ -612,31 +598,23 @@ def execute_units(units: Sequence,
     tasks: list = []
     unit_tasks: list[list[int]] = []
     for group in plan:
-        ids = []
-        for runnable in group:
-            ids.append(len(tasks))
-            tasks.append(runnable)
-        unit_tasks.append(ids)
+        unit_tasks.append(list(range(len(tasks),
+                                     len(tasks) + len(group))))
+        tasks.extend(group)
 
-    # Streaming units reduce shard payloads as they arrive instead of
-    # holding them all for the final merge. ``task_pos`` maps a task
-    # id to (unit index, shard position) for tasks owned by a reducer.
-    reducers: dict[int, _PrefixReducer] = {}
-    task_pos: dict[int, tuple[int, int]] = {}
-    for u_idx, ids in enumerate(unit_tasks):
-        unit = units[u_idx]
-        if (is_streaming_unit(unit)
-                and isinstance(tasks[ids[0]], UnitShard)):
-            reducers[u_idx] = _PrefixReducer(unit)
-            for pos, task_id in enumerate(ids):
-                task_pos[task_id] = (u_idx, pos)
+    # Every split unit folds its shard payloads as they arrive;
+    # ``folds`` maps a shard's task id to its unit's reducer.
+    folds: dict[int, _PrefixReducer] = {}
+    for unit, ids in zip(units, unit_tasks):
+        if isinstance(tasks[ids[0]], UnitShard):
+            reducer = _PrefixReducer(unit)
+            folds.update((t, reducer) for t in ids)
 
     def feed_reducer(index: int, payload) -> object:
         """Fold a shard payload; return what ``outcomes`` should keep."""
-        if index not in task_pos:
+        if index not in folds:
             return payload
-        u_idx, pos = task_pos[index]
-        reducers[u_idx].feed(pos, payload)
+        folds[index].feed(tasks[index].shard_index, payload)
         return _REDUCED
 
     outcomes: dict[int, object] = {}
@@ -648,8 +626,6 @@ def execute_units(units: Sequence,
             entry = journal.load(keys[i], label=task.label)
             if entry is not None:
                 payload, elapsed = entry
-                # Journaled streaming shards replay through the same
-                # arrival-order fold — the slice is not re-run.
                 outcomes[i] = (feed_reducer(i, payload), UnitTiming(
                     label=task.label, kind=task.kind,
                     elapsed_s=elapsed))
@@ -664,15 +640,10 @@ def execute_units(units: Sequence,
     todo = [(i, task) for i, task in enumerate(tasks)
             if i not in outcomes]
     if todo:
-        if options.workers == 1 and options.unit_timeout is None:
-            outcomes.update(_execute_serial(todo, options, record_ok))
-        else:
-            outcomes.update(
-                _PoolSupervisor(todo, options, record_ok).run())
+        outcomes.update(_Supervisor(todo, options, record_ok).run())
 
     payloads: list = []
-    for i, unit in enumerate(units):
-        ids = unit_tasks[i]
+    for unit, ids in zip(units, unit_tasks):
         shard_failures = [outcomes[t] for t in ids
                           if isinstance(outcomes[t], UnitFailure)]
         if shard_failures:
@@ -682,25 +653,14 @@ def execute_units(units: Sequence,
             payloads.append(shard_failures[0])
             continue
         results = [outcomes[t] for t in ids]
-        if i in reducers:
-            payload = reducers[i].finalize()
+        if ids[0] in folds:
+            payload = folds[ids[0]].finalize()
             unit_timing = UnitTiming(
                 label=unit.label, kind=unit.kind,
                 elapsed_s=sum(t.elapsed_s for _, t in results),
-                peak_kb=max((t.peak_kb for _, t in results),
-                            default=0.0))
-        elif len(ids) == 1 and not isinstance(tasks[ids[0]], UnitShard):
-            payload, unit_timing = results[0]
+                peak_kb=max(t.peak_kb for _, t in results))
         else:
-            atoms: list = []
-            for shard_payload, _ in results:
-                atoms.extend(shard_payload)
-            payload = unit.merge_atoms(atoms)
-            unit_timing = UnitTiming(
-                label=unit.label, kind=unit.kind,
-                elapsed_s=sum(t.elapsed_s for _, t in results),
-                peak_kb=max((t.peak_kb for _, t in results),
-                            default=0.0))
+            [(payload, unit_timing)] = results
         if timings is not None:
             timings.append(unit_timing)
         if shard_timings is not None:

@@ -1,6 +1,6 @@
-"""Splittable work units: deterministic shards with an ordered merge.
+"""Splittable work units: deterministic shards, folded in order.
 
-A campaign unit that implements the *atoms* contract can be split
+A campaign unit that subclasses :class:`SplittableUnit` can be split
 across workers:
 
 * ``n_atoms()`` — how many indivisible pieces the unit decomposes
@@ -11,89 +11,57 @@ across workers:
   return one payload per atom. Each atom derives its own RNG stream
   from the unit seed tuple plus the atom index, so the payload list
   is identical no matter how the range is cut.
-* ``merge_atoms(payloads)`` — reassemble the full, ordered atom
-  payload list into the unit's payload. ``unit.run()`` is defined as
-  ``merge_atoms(run_atoms(0, n_atoms()))``, so for every granularity
-  the sharded result is *bit-identical to serial by construction*:
-  both paths run the same atoms and the same merge, only on
-  different processes.
+* the fold — ``init_partial()`` starts an accumulator,
+  ``merge_partial(acc, shard_payload)`` folds one shard's atom
+  payloads into it and ``finalize(acc)`` turns it into the unit's
+  payload. The executor folds shards strictly in shard order, and
+  ``run()`` is the same fold over one shard that holds every atom,
+  so for every granularity the sharded result is *bit-identical to
+  serial by construction*: both paths run the same atoms through the
+  same fold, only on different processes.
 
 :func:`plan_shards` groups atoms into at most ``granularity``
-balanced contiguous shards per unit; the executor dispatches shards
-largest-first (work stealing: an idle worker always takes the biggest
-remaining shard) and merges results by ``(unit index, shard index)``.
+balanced contiguous shards per unit; the executor dispatches them and
+folds each unit's shards in ``(unit index, shard index)`` order.
 Units without the atoms contract — or runs at ``granularity=1`` —
-pass through unchanged, keeping their historical labels and journal
-keys.
+pass through unchanged and run whole, keeping their historical labels
+and journal keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
 
-@runtime_checkable
-class SplittableUnit(Protocol):
-    """The optional splitting contract on top of ``CampaignUnit``.
+class SplittableUnit:
+    """Base of every unit that splits into atoms.
 
-    Implementations must guarantee that ``run_atoms`` is a pure
-    function of ``(unit fields, start, stop)`` and that atom payloads
-    do not depend on how the ``[0, n_atoms())`` range is partitioned —
-    the differential suite in ``tests/exec/`` pins exactly that.
+    A subclass defines ``n_atoms()`` and ``run_atoms(start, stop)``,
+    a pure function of ``(unit fields, start, stop)`` whose atom
+    payloads do not depend on how ``[0, n_atoms())`` is partitioned —
+    the differential suite in ``tests/exec/`` pins exactly that. The
+    default fold collects the atom payloads into one ordered list and
+    hands it to ``finalize``; a unit overrides ``finalize`` to build
+    its payload from that list, or all three hooks to fold into a
+    smaller accumulator.
     """
 
-    def n_atoms(self) -> int: ...
+    def init_partial(self) -> list:
+        return []
 
-    def run_atoms(self, start: int, stop: int) -> list: ...
+    def merge_partial(self, acc: list, shard_payload: list) -> list:
+        acc.extend(shard_payload)
+        return acc
 
-    def merge_atoms(self, payloads: Sequence) -> object: ...
+    def finalize(self, acc):
+        return acc
 
-
-@runtime_checkable
-class StreamingUnit(Protocol):
-    """The optional *streaming reduce* contract on top of the atoms one.
-
-    A splittable unit that additionally sets ``streaming = True`` and
-    implements this contract has its shard payloads folded by the
-    executor **as they arrive** instead of being held until every
-    shard lands:
-
-    * ``init_partial()`` — a fresh, empty accumulator;
-    * ``merge_partial(acc, shard_payload)`` — fold one shard's payload
-      (the list returned by ``run_atoms``) into the accumulator and
-      return it. Folding happens strictly in shard order (the executor
-      buffers out-of-order arrivals and reduces the contiguous
-      prefix), so the final value is deterministic regardless of
-      worker scheduling;
-    * ``finalize(acc)`` — turn the accumulator into the unit payload.
-
-    ``run()`` must equal ``finalize`` over the in-order fold of all
-    shards — the differential suite in ``tests/exec/`` pins that the
-    streamed result is digest-identical to the batch path.
-    """
-
-    streaming: bool
-
-    def init_partial(self) -> object: ...
-
-    def merge_partial(self, acc: object, shard_payload: list) -> object: ...
-
-    def finalize(self, acc: object) -> object: ...
-
-
-def is_streaming_unit(unit) -> bool:
-    """Whether ``unit`` opted into the arrival-order streaming reduce.
-
-    Duck-typed like :func:`atom_count`: the ``streaming`` flag must be
-    truthy *and* the three reduce hooks must exist. Wrappers (e.g.
-    chaos) that forward attributes qualify automatically.
-    """
-    return bool(getattr(unit, "streaming", False)) and all(
-        callable(getattr(unit, name, None))
-        for name in ("init_partial", "merge_partial", "finalize"))
+    def run(self):
+        return self.finalize(self.merge_partial(
+            self.init_partial(), self.run_atoms(0, self.n_atoms())))
 
 
 def shard_label(parent_label: str, start: int, stop: int) -> str:

@@ -49,6 +49,7 @@ from repro.core.datasets import (
 )
 from repro.disrupt.apply import apply_to_access, apply_to_scheduler
 from repro.disrupt.scenarios import Scenario, build_scenario
+from repro.exec.sharding import SplittableUnit
 from repro.geo.satcom import GeoSatComAccess
 from repro.errors import ConfigurationError
 from repro.leo.access import StarlinkAccess, StarlinkPathModel
@@ -263,6 +264,65 @@ def _build_fleet_context(config: "CampaignConfig") -> FleetContext:
                         fleet=fleet, scenario=scenario)
 
 
+def _ping_rounds(cfg: "CampaignConfig") -> tuple[np.ndarray, int]:
+    """Start times of every ping round, and how many chunk atoms of
+    ``cfg.ping_shard_rounds`` consecutive rounds they make (at least
+    one)."""
+    rounds = np.arange(0.0, days(cfg.ping_days), cfg.ping_interval_s)
+    return rounds, max(1, -(-len(rounds) // cfg.ping_shard_rounds))
+
+
+def _chunk_rounds(cfg: "CampaignConfig", atom: int) -> list[float]:
+    """Start times of the rounds in ping-round chunk ``atom``."""
+    chunk = cfg.ping_shard_rounds
+    return _ping_rounds(cfg)[0][atom * chunk:(atom + 1) * chunk].tolist()
+
+
+def _probe_round(t: float, cfg: "CampaignConfig", rng, disruption,
+                 model: StarlinkPathModel, remote_rtt_s: float | None,
+                 times: list[float], rtts: list[float]) -> None:
+    """Append the ``cfg.pings_per_round`` probes of the round at ``t``,
+    one second apart, to ``times`` and ``rtts``.
+
+    Each probe is lost (a NaN RTT) to a blackout, to the base loss
+    draw or to the scenario's extra-loss draw, in that order;
+    otherwise its RTT is the path model's idle RTT plus
+    ``remote_rtt_s``. ``remote_rtt_s=None`` (the round's PoP is
+    unservable) loses the probe without calling ``idle_rtt``, and a
+    :class:`~repro.errors.ConfigurationError` from it (an unservable
+    slot) loses the probe too. Guards cost no draws, and an empty
+    schedule answers False/0.0 everywhere, so the clear-sky RNG
+    stream is byte-identical whether or not a schedule is installed.
+    """
+    loss_prob = cfg.ping_loss_prob
+    for probe in range(cfg.pings_per_round):
+        probe_t = t + probe * 1.0
+        times.append(probe_t)
+        if disruption.blackout_at(probe_t) or rng.random() < loss_prob:
+            rtts.append(math.nan)
+            continue
+        extra = disruption.extra_loss_prob(probe_t)
+        if (extra > 0.0 and rng.random() < extra) or remote_rtt_s is None:
+            rtts.append(math.nan)
+            continue
+        try:
+            rtts.append(model.idle_rtt(probe_t, rng,
+                                       remote_rtt_s=remote_rtt_s))
+        except ConfigurationError:
+            rtts.append(math.nan)
+
+
+def _series_outcome(lost: int, total: int,
+                    endpoint: str) -> MeasurementOutcome:
+    """``unreachable`` when every one of ``total`` probes was lost,
+    otherwise ok with the loss count; ``endpoint`` names the far end
+    (``"to <anchor>"``, ``"from <terminal>"``)."""
+    if total and lost == total:
+        return MeasurementOutcome(
+            "unreachable", detail=f"all {lost} probes {endpoint} lost")
+    return MeasurementOutcome(detail=f"{lost}/{total} probes lost")
+
+
 def _ping_chunk_probes(cfg: "CampaignConfig", anchor_name: str,
                        atom: int) -> tuple[list[float], list[float]]:
     """Probe ``(times, rtts)`` of ping-round chunk ``atom``.
@@ -273,62 +333,43 @@ def _ping_chunk_probes(cfg: "CampaignConfig", anchor_name: str,
     :class:`StreamingPingUnit`, so both emit identical bytes and the
     streamed campaign stays digest-identical to the batch one.
 
-    Disruption guards are ordered to keep the clear-sky RNG stream
-    byte-identical whether or not a schedule is installed: an empty
-    schedule answers False/0.0 everywhere, so exactly the same draws
-    happen in exactly the same order.
-
-    Unservable slots (a mobile/obstructed terminal with no visible
-    satellite-gateway pair) lose their probes: the
-    :class:`~repro.errors.ConfigurationError` the scheduler raises
-    becomes a NaN RTT, never an aborted series. The guards cost no
-    draws, and the obstruction chain is a pure function of
-    (seed, slot), so the probe bytes stay identical across processes,
-    shard granularities and resumes.
+    A round whose slot at ``t`` is unservable (a mobile/obstructed
+    terminal with no visible satellite-gateway pair) has no PoP, so
+    all its probes are lost, also those that fall in the next slot,
+    rather than abort the series. The obstruction chain is a pure
+    function of (seed, slot), so the probe bytes stay identical
+    across processes, shard granularities and resumes.
     """
     anchor = anchor_by_name(anchor_name)
     ctx = context_for(cfg)
     model = ctx.path_model
-    disruption = ctx.scenario.campaign
-    round_times = np.arange(0.0, days(cfg.ping_days),
-                            cfg.ping_interval_s)
-    chunk = cfg.ping_shard_rounds
     rng = make_rng((cfg.seed, "ping-campaign", anchor_name,
                     "chunk", atom))
     times: list[float] = []
     rtts: list[float] = []
-    for t in round_times[atom * chunk:(atom + 1) * chunk].tolist():
+    for t in _chunk_rounds(cfg, atom):
         try:
-            pop = model.pop_location(t)
+            remote = anchor.remote_rtt_from(model.pop_location(t))
         except ConfigurationError:
-            pop = None
-        remote = (anchor.remote_rtt_from(pop)
-                  if pop is not None else math.nan)
-        for probe in range(cfg.pings_per_round):
-            probe_t = t + probe * 1.0
-            times.append(probe_t)
-            if disruption.blackout_at(probe_t):
-                rtts.append(math.nan)
-                continue
-            if rng.random() < cfg.ping_loss_prob:
-                rtts.append(math.nan)
-            else:
-                extra = disruption.extra_loss_prob(probe_t)
-                if extra > 0.0 and rng.random() < extra:
-                    rtts.append(math.nan)
-                elif pop is None:
-                    rtts.append(math.nan)
-                else:
-                    try:
-                        rtts.append(model.idle_rtt(
-                            probe_t, rng, remote_rtt_s=remote))
-                    except ConfigurationError:
-                        rtts.append(math.nan)
+            remote = None
+        _probe_round(t, cfg, rng, ctx.scenario.campaign, model, remote,
+                     times, rtts)
     return times, rtts
 
 
+class _PingChunkAtoms(SplittableUnit):
+    """A unit whose atoms are its config's ping-round chunks."""
+
+    def n_atoms(self) -> int:
+        return _ping_rounds(self.config)[1]
+
+    def cost_hint(self) -> float:
+        rounds, _ = _ping_rounds(self.config)
+        return len(rounds) * self.config.pings_per_round * 1e-3
+
+
 @dataclass(frozen=True)
-class PingSeriesUnit:
+class PingSeriesUnit(_PingChunkAtoms):
     """The full five-month ping series toward one anchor.
 
     Atoms are chunks of ``config.ping_shard_rounds`` consecutive ping
@@ -347,59 +388,37 @@ class PingSeriesUnit:
     def label(self) -> str:
         return f"ping:{self.anchor_name}"
 
-    def _round_times(self) -> np.ndarray:
-        cfg = self.config
-        return np.arange(0.0, days(cfg.ping_days), cfg.ping_interval_s)
-
-    def n_atoms(self) -> int:
-        chunk = self.config.ping_shard_rounds
-        return max(1, -(-len(self._round_times()) // chunk))
-
-    def cost_hint(self) -> float:
-        return (len(self._round_times())
-                * self.config.pings_per_round * 1e-3)
-
     def run_atoms(self, start: int, stop: int
                   ) -> list[tuple[list[float], list[float]]]:
         return [_ping_chunk_probes(self.config, self.anchor_name, atom)
                 for atom in range(start, stop)]
 
-    def merge_atoms(self, payloads) -> tuple[str, np.ndarray,
-                                             np.ndarray,
-                                             MeasurementOutcome]:
+    def finalize(self, payloads) -> tuple[str, np.ndarray, np.ndarray,
+                                          MeasurementOutcome]:
         times: list[float] = []
         rtts: list[float] = []
         for chunk_times, chunk_rtts in payloads:
             times.extend(chunk_times)
             rtts.extend(chunk_rtts)
         rtts_arr = np.array(rtts)
-        lost = int(np.isnan(rtts_arr).sum()) if rtts_arr.size else 0
-        if rtts_arr.size and lost == rtts_arr.size:
-            outcome = MeasurementOutcome(
-                "unreachable",
-                detail=f"all {lost} probes to {self.anchor_name} lost")
-        else:
-            outcome = MeasurementOutcome(
-                detail=f"{lost}/{rtts_arr.size} probes lost")
+        outcome = _series_outcome(int(np.isnan(rtts_arr).sum()),
+                                  rtts_arr.size, f"to {self.anchor_name}")
         return self.anchor_name, np.array(times), rtts_arr, outcome
-
-    def run(self) -> tuple[str, np.ndarray, np.ndarray,
-                           MeasurementOutcome]:
-        return self.merge_atoms(self.run_atoms(0, self.n_atoms()))
 
 
 @dataclass(frozen=True)
-class StreamingPingUnit:
-    """The same ping series as :class:`PingSeriesUnit`, reduced into a
-    constant-memory :class:`~repro.core.datasets.PingAnchorSink`.
+class StreamingPingUnit(_PingChunkAtoms):
+    """The same ping series as :class:`PingSeriesUnit`, folded into one
+    :class:`~repro.core.datasets.PingAnchorSink`.
 
     Atoms draw from the **identical** per-chunk RNG streams (shared
     :func:`_ping_chunk_probes`), so a streamed campaign that stays in
-    exact mode is digest-identical to the batch one. The unit opts
-    into the executor's arrival-order reduce
-    (:class:`~repro.exec.sharding.StreamingUnit`): each shard ships
-    per-atom sinks, the executor folds them in shard order and only
-    one sink per anchor is ever resident — never the full atom list.
+    exact mode is digest-identical to the batch one. Its fold keeps
+    one sink: each shard ships per-atom sinks, the executor folds
+    them in shard order and only one sink per anchor is ever resident
+    — never the full atom list. Once the sink leaves exact mode its
+    memory grows with the campaign clock (availability counts per
+    probe instant, one sketch per 6 h bin), not with the sample count.
     Reservoir keys are identity-derived per global probe index
     (:meth:`~repro.core.stats.BottomKReservoir.keys_for` on the
     anchor-tagged stream), so the ECDF subsample is independent of
@@ -416,23 +435,10 @@ class StreamingPingUnit:
     max_centroids: int = 512
 
     kind = "pingstream"
-    streaming = True
 
     @property
     def label(self) -> str:
         return f"pingstream:{self.anchor_name}"
-
-    def _round_times(self) -> np.ndarray:
-        cfg = self.config
-        return np.arange(0.0, days(cfg.ping_days), cfg.ping_interval_s)
-
-    def n_atoms(self) -> int:
-        chunk = self.config.ping_shard_rounds
-        return max(1, -(-len(self._round_times()) // chunk))
-
-    def cost_hint(self) -> float:
-        return (len(self._round_times())
-                * self.config.pings_per_round * 1e-3)
 
     def _new_sink(self):
         from repro.core.datasets import PingAnchorSink
@@ -459,7 +465,7 @@ class StreamingPingUnit:
             payloads.append(sink)
         return payloads
 
-    # -- streaming reduce contract ------------------------------------
+    # -- the fold: one sink, not a list of atoms ------------------------
 
     def init_partial(self):
         return self._new_sink()
@@ -470,22 +476,9 @@ class StreamingPingUnit:
         return acc
 
     def finalize(self, acc):
-        lost, total = acc.lost_probes, acc.total_probes
-        if total and lost == total:
-            acc.outcome = MeasurementOutcome(
-                "unreachable",
-                detail=f"all {lost} probes to {self.anchor_name} lost")
-        else:
-            acc.outcome = MeasurementOutcome(
-                detail=f"{lost}/{total} probes lost")
+        acc.outcome = _series_outcome(acc.lost_probes, acc.total_probes,
+                                      f"to {self.anchor_name}")
         return acc
-
-    # ``merge_atoms`` exists so granularity=1 / journal replay paths
-    # that treat the unit as a plain splittable one still work; it is
-    # the same in-order fold.
-    def merge_atoms(self, payloads):
-        return self.finalize(self.merge_partial(self.init_partial(),
-                                                list(payloads)))
 
     def run(self):
         # Stream atom by atom: serial memory stays one sink deep no
@@ -497,7 +490,7 @@ class StreamingPingUnit:
 
 
 @dataclass(frozen=True)
-class SpeedtestUnit:
+class SpeedtestUnit(SplittableUnit):
     """One Ookla-like test: a single network x direction x epoch.
 
     Atoms are the parallel TCP connections. Connection ``i`` runs as
@@ -557,7 +550,7 @@ class SpeedtestUnit:
                 config=TcpConfig(cc=cfg.cc)))
         return results
 
-    def merge_atoms(self, results) -> SpeedtestSample:
+    def finalize(self, results) -> SpeedtestSample:
         cfg = self.config
         total = sum(r.measured_bytes for r in results)
         handshakes = [rtt for r in results for rtt in r.handshake_rtts]
@@ -586,12 +579,9 @@ class SpeedtestUnit:
                                throughput_mbps=merged.throughput_mbps,
                                outcome=merged.outcome)
 
-    def run(self) -> SpeedtestSample:
-        return self.merge_atoms(self.run_atoms(0, self.n_atoms()))
-
 
 @dataclass(frozen=True)
-class BulkUnit:
+class BulkUnit(SplittableUnit):
     """One H3 bulk transfer: a single session x direction x epoch.
 
     Atoms are back-to-back payload segments of
@@ -646,7 +636,7 @@ class BulkUnit:
                 config=QuicConfig(cc=cfg.cc)))
         return results
 
-    def merge_atoms(self, results) -> BulkSample:
+    def finalize(self, results) -> BulkSample:
         cfg = self.config
         completed = all(r.completed for r in results)
         merged = BulkTransferResult(
@@ -684,9 +674,6 @@ class BulkUnit:
                 elapsed_s=elapsed)
         return BulkSample(t=self.epoch, direction=self.direction,
                           session=self.session, result=merged)
-
-    def run(self) -> BulkSample:
-        return self.merge_atoms(self.run_atoms(0, self.n_atoms()))
 
 
 @dataclass(frozen=True)
@@ -727,7 +714,7 @@ class MessagesUnit:
 
 
 @dataclass(frozen=True)
-class WebRoundUnit:
+class WebRoundUnit(SplittableUnit):
     """One browsing round: every corpus page over one network, once.
 
     The corpus is rebuilt inside the unit (it is deterministic for
@@ -774,15 +761,9 @@ class WebRoundUnit:
                 outcome=result.outcome))
         return visits
 
-    def merge_atoms(self, payloads) -> list[VisitSample]:
-        return list(payloads)
-
-    def run(self) -> list[VisitSample]:
-        return self.merge_atoms(self.run_atoms(0, self.n_atoms()))
-
 
 @dataclass(frozen=True)
-class FleetTerminalUnit:
+class FleetTerminalUnit(_PingChunkAtoms):
     """One fleet terminal's campaign: idle-latency series plus
     contended speed tests.
 
@@ -809,21 +790,12 @@ class FleetTerminalUnit:
     def label(self) -> str:
         return f"fleet:ut{self.index:04d}"
 
-    def _round_times(self) -> np.ndarray:
-        cfg = self.config
-        return np.arange(0.0, days(cfg.ping_days), cfg.ping_interval_s)
-
-    def _n_ping_atoms(self) -> int:
-        chunk = self.config.ping_shard_rounds
-        return max(1, -(-len(self._round_times()) // chunk))
-
     def n_atoms(self) -> int:
-        return self._n_ping_atoms() + self.config.fleet_speedtest_epochs
+        return super().n_atoms() + self.config.fleet_speedtest_epochs
 
     def cost_hint(self) -> float:
         cfg = self.config
-        return (len(self._round_times()) * cfg.pings_per_round * 1e-3
-                + cfg.fleet_speedtest_epochs
+        return (super().cost_hint() + cfg.fleet_speedtest_epochs
                 * (cfg.speedtest_warmup_s + cfg.speedtest_measure_s))
 
     def _speedtest_epochs(self) -> list[float]:
@@ -835,7 +807,7 @@ class FleetTerminalUnit:
                       for _ in range(cfg.fleet_speedtest_epochs))
 
     def run_atoms(self, start: int, stop: int) -> list[tuple]:
-        n_ping = self._n_ping_atoms()
+        _, n_ping = _ping_rounds(self.config)
         payloads: list[tuple] = []
         for atom in range(start, stop):
             if atom < n_ping:
@@ -850,38 +822,20 @@ class FleetTerminalUnit:
         cfg = self.config
         ctx = fleet_context_for(cfg)
         model = ctx.model_for(self.index)
-        disruption = ctx.scenario.campaign
-        chunk = cfg.ping_shard_rounds
         rng = make_rng((cfg.seed, "fleet-ping", self.index,
                         "chunk", atom))
         times: list[float] = []
         rtts: list[float] = []
         shares: list[float] = []
-        rounds = self._round_times()[atom * chunk:(atom + 1) * chunk]
-        for t in rounds.tolist():
+        for t in _chunk_rounds(cfg, atom):
             try:
                 shares.append(ctx.fleet.capacity_share(self.index, t))
             except ConfigurationError:
                 shares.append(math.nan)
-            for probe in range(cfg.pings_per_round):
-                probe_t = t + probe * 1.0
-                times.append(probe_t)
-                if disruption.blackout_at(probe_t):
-                    rtts.append(math.nan)
-                    continue
-                if rng.random() < cfg.ping_loss_prob:
-                    rtts.append(math.nan)
-                    continue
-                extra = disruption.extra_loss_prob(probe_t)
-                if extra > 0.0 and rng.random() < extra:
-                    rtts.append(math.nan)
-                    continue
-                try:
-                    rtts.append(model.idle_rtt(probe_t, rng))
-                except ConfigurationError:
-                    # Unservable slot (e.g. a polar-band terminal):
-                    # the probe is simply lost.
-                    rtts.append(math.nan)
+            # An unservable slot (e.g. a polar-band terminal) simply
+            # loses its probes.
+            _probe_round(t, cfg, rng, ctx.scenario.campaign, model, 0.0,
+                         times, rtts)
         return times, rtts, shares
 
     def _speedtest(self, epoch_idx: int) -> SpeedtestSample:
@@ -916,7 +870,7 @@ class FleetTerminalUnit:
                                throughput_mbps=result.throughput_mbps,
                                outcome=result.outcome)
 
-    def merge_atoms(self, payloads) -> FleetTerminalResult:
+    def finalize(self, payloads) -> FleetTerminalResult:
         cfg = self.config
         times: list[float] = []
         rtts: list[float] = []
@@ -934,14 +888,8 @@ class FleetTerminalUnit:
         # rebuild it without shipping coordinates through every atom.
         site = build_fleet_terminals(fleet_spec_for(cfg))[self.index]
         rtts_arr = np.array(rtts)
-        lost = int(np.isnan(rtts_arr).sum()) if rtts_arr.size else 0
-        if rtts_arr.size and lost == rtts_arr.size:
-            outcome = MeasurementOutcome(
-                "unreachable",
-                detail=f"all {lost} probes from {site.name} lost")
-        else:
-            outcome = MeasurementOutcome(
-                detail=f"{lost}/{rtts_arr.size} probes lost")
+        outcome = _series_outcome(int(np.isnan(rtts_arr).sum()),
+                                  rtts_arr.size, f"from {site.name}")
         return FleetTerminalResult(
             index=self.index, name=site.name,
             lat_deg=site.location.lat_deg,
@@ -949,9 +897,6 @@ class FleetTerminalUnit:
             times=np.array(times), rtts=rtts_arr,
             shares=np.array(shares), speedtests=speedtests,
             outcome=outcome)
-
-    def run(self) -> FleetTerminalResult:
-        return self.merge_atoms(self.run_atoms(0, self.n_atoms()))
 
 
 #: Everything the executor accepts.

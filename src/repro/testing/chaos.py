@@ -113,10 +113,10 @@ class ChaosUnit:
     """A work unit that sabotages chosen attempts, then delegates.
 
     Splittable inner units stay splittable: the wrapper delegates the
-    atoms contract, claims each *shard's* attempts under the shard
-    label (``label#s<start>-<stop>``), and strikes a shard only when
-    ``shard_specs`` names it — so a test can SIGKILL one shard of one
-    unit and prove the others were never re-run.
+    atoms contract and the fold, claims each *shard's* attempts under
+    the shard label (``label#s<start>-<stop>``), and strikes a shard
+    only when ``shard_specs`` names it — so a test can SIGKILL one
+    shard of one unit and prove the others were never re-run.
     """
 
     inner: object
@@ -164,7 +164,7 @@ class ChaosUnit:
         finally:
             del ballast
 
-    # -- atoms contract (delegated, per-shard sabotage) --------------------
+    # -- atoms contract and fold (delegated, per-shard sabotage) -----------
 
     def n_atoms(self) -> int:
         return atom_count(self.inner)
@@ -180,15 +180,6 @@ class ChaosUnit:
             return self.inner.run_atoms(start, stop)
         finally:
             del ballast
-
-    def merge_atoms(self, payloads):
-        return self.inner.merge_atoms(payloads)
-
-    # -- streaming reduce contract (delegated verbatim) --------------------
-
-    @property
-    def streaming(self) -> bool:
-        return bool(getattr(self.inner, "streaming", False))
 
     def init_partial(self):
         return self.inner.init_partial()

@@ -13,6 +13,7 @@ units live in ``test_journal_resume.py``.
 
 import multiprocessing
 import time
+import traceback
 from dataclasses import dataclass
 
 import pytest
@@ -63,6 +64,11 @@ class NamedUnit:
 UNITS = [SquareUnit(v) for v in range(5)]
 EXPECTED = [v * v for v in range(5)]
 
+#: Worker counts that select each backend: one runs every task in
+#: this process, two a process pool. Tests of the shared retry and
+#: failure-policy path run on both, each with its own chaos state.
+BACKENDS = (1, 2)
+
 
 def failures_in(payloads: list) -> list[UnitFailure]:
     """The UnitFailure records a degraded run left in place of units."""
@@ -70,37 +76,57 @@ def failures_in(payloads: list) -> list[UnitFailure]:
 
 
 def test_transient_raise_is_retried_to_success(tmp_path):
-    wrapped = wrap_units(UNITS, tmp_path,
-                         {"square:2": ChaosSpec(raise_on=(1,))})
-    payloads = execute_units(wrapped, ExecOptions(retries=1))
-    assert payloads == EXPECTED
-    assert attempts_made(tmp_path, "square:2") == 2
-    assert attempts_made(tmp_path, "square:0") == 1
+    for workers in BACKENDS:
+        state = tmp_path / f"w{workers}"
+        wrapped = wrap_units(UNITS, state,
+                             {"square:2": ChaosSpec(raise_on=(1,))})
+        payloads = execute_units(wrapped, ExecOptions(workers=workers,
+                                                      retries=1))
+        assert payloads == EXPECTED
+        assert attempts_made(state, "square:2") == 2
+        assert attempts_made(state, "square:0") == 1
 
 
 def test_exhausted_retries_raise_unit_execution_error(tmp_path):
+    for workers in BACKENDS:
+        wrapped = wrap_units(UNITS, tmp_path / f"w{workers}",
+                             {"square:2": ChaosSpec(raise_on=(1, 2))})
+        with pytest.raises(UnitExecutionError,
+                           match=r"'square:2' failed after 2 attempt"):
+            execute_units(wrapped, ExecOptions(workers=workers,
+                                               retries=1))
+
+
+@pytest.mark.parametrize("workers", BACKENDS)
+def test_unit_execution_error_carries_the_unit_traceback(tmp_path,
+                                                         workers):
     wrapped = wrap_units(UNITS, tmp_path,
-                         {"square:2": ChaosSpec(raise_on=(1, 2))})
-    with pytest.raises(UnitExecutionError,
-                       match=r"'square:2' failed after 2 attempt"):
-        execute_units(wrapped, ExecOptions(retries=1))
+                         {"square:2": ChaosSpec(raise_on=(1,))})
+    with pytest.raises(UnitExecutionError) as raised:
+        execute_units(wrapped, ExecOptions(workers=workers))
+    # What an uncaught error prints names the frame that raised inside
+    # the unit, not just its message.
+    printed = "".join(traceback.format_exception(raised.value))
+    assert "in _strike" in printed
 
 
 def test_exhausted_retries_degrade_to_unit_failure(tmp_path):
-    wrapped = wrap_units(UNITS, tmp_path,
-                         {"square:2": ChaosSpec(raise_on=(1, 2))})
-    payloads = execute_units(
-        wrapped, ExecOptions(retries=1, failure_policy="degrade"))
-    # The lost unit's slot holds its UnitFailure; the rest are intact.
-    assert payloads[:2] == EXPECTED[:2]
-    assert payloads[3:] == EXPECTED[3:]
-    failure = payloads[2]
-    assert isinstance(failure, UnitFailure)
-    assert failure.label == "square:2"
-    assert failure.kind == "square"
-    assert failure.error_type == "ChaosError"
-    assert failure.attempts == 2
-    assert "ChaosError" in failure.traceback
+    for workers in BACKENDS:
+        wrapped = wrap_units(UNITS, tmp_path / f"w{workers}",
+                             {"square:2": ChaosSpec(raise_on=(1, 2))})
+        payloads = execute_units(wrapped, ExecOptions(
+            workers=workers, retries=1, failure_policy="degrade"))
+        # The lost unit's slot holds its UnitFailure; the rest are
+        # intact.
+        assert payloads[:2] == EXPECTED[:2]
+        assert payloads[3:] == EXPECTED[3:]
+        failure = payloads[2]
+        assert isinstance(failure, UnitFailure)
+        assert failure.label == "square:2"
+        assert failure.kind == "square"
+        assert failure.error_type == "ChaosError"
+        assert failure.attempts == 2
+        assert "ChaosError" in failure.traceback
 
 
 def test_worker_death_is_retried_in_pool(tmp_path):
@@ -152,24 +178,26 @@ def test_hang_exhausts_into_unit_timeout_failure(tmp_path):
 
 def test_degrade_report_matches_injected_faults(tmp_path):
     units = [SquareUnit(v) for v in range(10)]
-    wrapped, injections = seeded_chaos(units, tmp_path, seed=7,
-                                       p_raise=0.5)
-    assert injections  # seed 7 must actually sabotage something
-    assert all(inj.fault == "raise" for inj in injections)
-    payloads = execute_units(wrapped,
-                             ExecOptions(failure_policy="degrade"))
-    failures = failures_in(payloads)
-    # The failure report lists exactly the injected faults -- nothing
-    # invented, nothing swallowed -- and every calm unit completed.
-    assert sorted(f.label for f in failures) \
-        == sorted(inj.label for inj in injections)
-    assert all(f.error_type == "ChaosError" for f in failures)
-    sabotaged = {inj.label for inj in injections}
-    for unit, payload in zip(units, payloads):
-        if unit.label in sabotaged:
-            assert isinstance(payload, UnitFailure)
-        else:
-            assert payload == unit.value ** 2
+    for workers in BACKENDS:
+        wrapped, injections = seeded_chaos(units, tmp_path / f"w{workers}",
+                                           seed=7, p_raise=0.5)
+        assert injections  # seed 7 must actually sabotage something
+        assert all(inj.fault == "raise" for inj in injections)
+        payloads = execute_units(wrapped, ExecOptions(
+            workers=workers, failure_policy="degrade"))
+        failures = failures_in(payloads)
+        # The failure report lists exactly the injected faults --
+        # nothing invented, nothing swallowed -- and every calm unit
+        # completed.
+        assert sorted(f.label for f in failures) \
+            == sorted(inj.label for inj in injections)
+        assert all(f.error_type == "ChaosError" for f in failures)
+        sabotaged = {inj.label for inj in injections}
+        for unit, payload in zip(units, payloads):
+            if unit.label in sabotaged:
+                assert isinstance(payload, UnitFailure)
+            else:
+                assert payload == unit.value ** 2
 
 
 def test_seeded_chaos_is_deterministic(tmp_path):
@@ -193,13 +221,15 @@ def test_pool_interrupt_cancels_and_reaps_workers(tmp_path):
 
 
 def test_timings_cover_only_successes_in_input_order(tmp_path):
-    wrapped = wrap_units(UNITS, tmp_path,
-                         {"square:1": ChaosSpec(raise_on=(1,))})
-    timings = []
-    execute_units(wrapped, ExecOptions(failure_policy="degrade"),
-                  timings=timings)
-    assert [t.label for t in timings] \
-        == ["square:0", "square:2", "square:3", "square:4"]
+    for workers in BACKENDS:
+        wrapped = wrap_units(UNITS, tmp_path / f"w{workers}",
+                             {"square:1": ChaosSpec(raise_on=(1,))})
+        timings = []
+        execute_units(wrapped, ExecOptions(workers=workers,
+                                           failure_policy="degrade"),
+                      timings=timings)
+        assert [t.label for t in timings] \
+            == ["square:0", "square:2", "square:3", "square:4"]
 
 
 def test_backoff_schedule_is_deterministic_and_exponential():

@@ -19,6 +19,7 @@ from repro.core.campaign import Campaign, CampaignConfig
 from repro.errors import ConfigurationError
 from repro.exec import (
     ExecOptions,
+    SplittableUnit,
     UnitShard,
     atom_count,
     execute_units,
@@ -31,7 +32,7 @@ from repro.units import minutes
 
 
 @dataclass(frozen=True)
-class SeriesUnit:
+class SeriesUnit(SplittableUnit):
     """Synthetic splittable unit: one derived RNG draw per atom."""
 
     seed: int
@@ -49,12 +50,6 @@ class SeriesUnit:
     def run_atoms(self, start: int, stop: int) -> list[float]:
         return [make_rng((self.seed, "atom", i)).random()
                 for i in range(start, stop)]
-
-    def merge_atoms(self, payloads) -> list[float]:
-        return list(payloads)
-
-    def run(self) -> list[float]:
-        return self.merge_atoms(self.run_atoms(0, self.n_atoms()))
 
 
 def micro_config(seed: int = 0) -> CampaignConfig:
@@ -112,10 +107,10 @@ def test_any_plan_and_steal_order_merges_to_serial(unit_params,
         if not isinstance(plan[i][0], UnitShard):
             merged.append(shards[0])
             continue
-        atoms: list = []
+        acc = unit.init_partial()
         for index in sorted(shards):
-            atoms.extend(shards[index])
-        merged.append(unit.merge_atoms(atoms))
+            acc = unit.merge_partial(acc, shards[index])
+        merged.append(unit.finalize(acc))
     assert digest_value(merged) == digest_value(serial)
 
 

@@ -1,13 +1,12 @@
-"""Streaming (arrival-order) reduce: digest identity and resume.
+"""The in-order fold of shard payloads: digest identity and resume.
 
-The acceptance bar of the streaming executor path: a campaign reduced
-through constant-memory sinks must be **digest-identical** to the
-batch path for every worker count and granularity, resume from a
-journal without replaying already-aggregated slices, and fold shard
-payloads strictly in shard order no matter how the pool schedules
-them. A synthetic streaming unit pins the reduce mechanics in
-isolation; real :class:`StreamingPingUnit` runs pin the end-to-end
-equivalence against :class:`PingSeriesUnit`.
+A ping campaign folded through streaming sinks must be
+**digest-identical** to the batch path for every worker count and
+granularity, resume from a journal without replaying
+already-aggregated slices, and fold shard payloads strictly in shard
+order no matter how the pool schedules them. A synthetic unit pins
+the fold mechanics in isolation; real :class:`StreamingPingUnit` runs
+pin the end-to-end equivalence against :class:`PingSeriesUnit`.
 """
 
 from dataclasses import dataclass, field
@@ -20,9 +19,9 @@ from repro.exec import (
     ExecOptions,
     Journal,
     PingSeriesUnit,
+    SplittableUnit,
     StreamingPingUnit,
     execute_units,
-    is_streaming_unit,
     render_timings,
 )
 from repro.testing.chaos import (
@@ -54,18 +53,17 @@ def batch_reference(cfg: CampaignConfig):
     return times, rtts, outcome
 
 
-# -- synthetic reduce mechanics --------------------------------------------
+# -- synthetic fold mechanics ----------------------------------------------
 
 
 @dataclass
-class RecordingStreamUnit:
+class RecordingStreamUnit(SplittableUnit):
     """Returns atom indices; records the order shards were folded."""
 
     atoms: int = 8
     merged: list = field(default_factory=list)
 
     kind = "recording"
-    streaming = True
     label = "recording:unit"
 
     def n_atoms(self) -> int:
@@ -74,30 +72,9 @@ class RecordingStreamUnit:
     def run_atoms(self, start: int, stop: int) -> list[int]:
         return list(range(start, stop))
 
-    def init_partial(self) -> list[int]:
-        return []
-
     def merge_partial(self, acc, shard_payload):
         self.merged.append(tuple(shard_payload))
-        acc.extend(shard_payload)
-        return acc
-
-    def finalize(self, acc) -> list[int]:
-        return acc
-
-    def merge_atoms(self, payloads):
-        return self.finalize(self.merge_partial(self.init_partial(),
-                                                list(payloads)))
-
-    def run(self) -> list[int]:
-        return self.merge_atoms(self.run_atoms(0, self.atoms))
-
-
-def test_is_streaming_unit_requires_flag_and_hooks():
-    assert is_streaming_unit(RecordingStreamUnit())
-    assert not is_streaming_unit(object())
-    assert not is_streaming_unit(
-        PingSeriesUnit(micro_config(), ANCHOR))
+        return super().merge_partial(acc, shard_payload)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
