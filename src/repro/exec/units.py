@@ -347,11 +347,18 @@ def _ping_chunk_probes(cfg: "CampaignConfig", anchor_name: str,
                     "chunk", atom))
     times: list[float] = []
     rtts: list[float] = []
+    # A chunk exits through a handful of PoPs: each one's fibre RTT
+    # to the anchor is computed once per chunk, not once per round.
+    remote_rtts: dict[GeoPoint, float] = {}
     for t in _chunk_rounds(cfg, atom):
         try:
-            remote = anchor.remote_rtt_from(model.pop_location(t))
+            pop = model.pop_location(t)
         except ConfigurationError:
             remote = None
+        else:
+            remote = remote_rtts.get(pop)
+            if remote is None:
+                remote = remote_rtts[pop] = anchor.remote_rtt_from(pop)
         _probe_round(t, cfg, rng, ctx.scenario.campaign, model, remote,
                      times, rtts)
     return times, rtts

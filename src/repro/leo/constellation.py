@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.leo.geometry import elevation_angle, slant_range
-from repro.leo.orbits import propagate_ecef
-from repro.units import EARTH_RADIUS, km
+from repro.leo.orbits import orbit_terms, positions_at
+from repro.units import km
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,10 @@ class Constellation:
 
     def __post_init__(self) -> None:
         arrays = [shell.element_arrays() for shell in self.shells]
-        self._altitudes = np.concatenate([a[0] for a in arrays])
-        self._inclinations = np.concatenate([a[1] for a in arrays])
-        self._raans = np.concatenate([a[2] for a in arrays])
-        self._arg_lats = np.concatenate([a[3] for a in arrays])
+        # Every time-invariant orbit term, computed once: a position
+        # query then costs only the terms that move with ``t``.
+        self._orbits = orbit_terms(
+            *(np.concatenate(column) for column in zip(*arrays)))
         self._position_cache: OrderedDict[float, np.ndarray] = \
             OrderedDict()
         #: Position-cache effectiveness counters (observability for
@@ -93,7 +93,7 @@ class Constellation:
     @property
     def size(self) -> int:
         """Total number of satellites across all shells."""
-        return int(self._altitudes.shape[0])
+        return int(self._orbits.radius.shape[0])
 
     def orbit_radii(self) -> np.ndarray:
         """(N,) orbit radii (Earth centre to satellite), metres.
@@ -103,7 +103,7 @@ class Constellation:
         cheap -- ``positions(t) / orbit_radii()[:, None]`` -- without
         any per-time norm.
         """
-        return self._altitudes + EARTH_RADIUS
+        return self._orbits.radius.copy()
 
     def positions(self, t: float) -> np.ndarray:
         """(N, 3) ECEF positions at time ``t``, metres.
@@ -119,9 +119,7 @@ class Constellation:
             self.position_cache_hits += 1
             return cached
         self.position_cache_misses += 1
-        positions = propagate_ecef(
-            self._altitudes, self._inclinations,
-            self._raans, self._arg_lats, t)
+        positions = positions_at(self._orbits, t)
         self._position_cache[t] = positions
         while len(self._position_cache) > self.position_cache_size:
             self._position_cache.popitem(last=False)

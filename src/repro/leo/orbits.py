@@ -13,6 +13,7 @@ are directly comparable with ground-site ECEF coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,21 +48,46 @@ class OrbitalElements:
         return 2.0 * np.pi / self.mean_motion
 
 
-def propagate_ecef(altitudes: np.ndarray, inclinations: np.ndarray,
-                   raans: np.ndarray, args_latitude: np.ndarray,
-                   t: float) -> np.ndarray:
-    """Vectorised ECEF positions of many satellites at time ``t``.
+class OrbitTerms(NamedTuple):
+    """The time-invariant terms of many circular orbits, (N,) each.
 
-    All element arrays must have the same shape (N,); angles are in
-    radians. Returns an (N, 3) array in metres.
+    :func:`orbit_terms` computes them once per element set, so a
+    caller propagating the same satellites to many times (a
+    constellation, once per scheduler slot) pays the radius, mean
+    motion and the RAAN and inclination trigonometry only once.
     """
+
+    radius: np.ndarray
+    mean_motion: np.ndarray
+    arg_latitude: np.ndarray
+    cos_raan: np.ndarray
+    sin_raan: np.ndarray
+    cos_inclination: np.ndarray
+    sin_inclination: np.ndarray
+
+
+def orbit_terms(altitudes: np.ndarray, inclinations: np.ndarray,
+                raans: np.ndarray,
+                args_latitude: np.ndarray) -> OrbitTerms:
+    """:class:`OrbitTerms` of (N,) element arrays; angles in radians."""
     a = EARTH_RADIUS + altitudes
-    n = np.sqrt(EARTH_MU / a ** 3)
-    u = args_latitude + n * t            # argument of latitude now
+    return OrbitTerms(
+        radius=a, mean_motion=np.sqrt(EARTH_MU / a ** 3),
+        arg_latitude=args_latitude,
+        cos_raan=np.cos(raans), sin_raan=np.sin(raans),
+        cos_inclination=np.cos(inclinations),
+        sin_inclination=np.sin(inclinations))
+
+
+def positions_at(terms: OrbitTerms, t: float) -> np.ndarray:
+    """(N, 3) ECEF positions of the ``terms`` orbits at ``t``, metres."""
+    a = terms.radius
+    cos_raan, sin_raan = terms.cos_raan, terms.sin_raan
+    cos_i, sin_i = terms.cos_inclination, terms.sin_inclination
+    # Argument of latitude now.
+    u = terms.arg_latitude + terms.mean_motion * t
     # Inertial position of a circular orbit.
     cos_u, sin_u = np.cos(u), np.sin(u)
-    cos_raan, sin_raan = np.cos(raans), np.sin(raans)
-    cos_i, sin_i = np.cos(inclinations), np.sin(inclinations)
     x_eci = a * (cos_u * cos_raan - sin_u * sin_raan * cos_i)
     y_eci = a * (cos_u * sin_raan + sin_u * cos_raan * cos_i)
     z_eci = a * (sin_u * sin_i)
@@ -71,6 +97,18 @@ def propagate_ecef(altitudes: np.ndarray, inclinations: np.ndarray,
     x = cos_t * x_eci + sin_t * y_eci
     y = -sin_t * x_eci + cos_t * y_eci
     return np.column_stack([x, y, z_eci])
+
+
+def propagate_ecef(altitudes: np.ndarray, inclinations: np.ndarray,
+                   raans: np.ndarray, args_latitude: np.ndarray,
+                   t: float) -> np.ndarray:
+    """Vectorised ECEF positions of many satellites at time ``t``.
+
+    All element arrays must have the same shape (N,); angles are in
+    radians. Returns an (N, 3) array in metres.
+    """
+    return positions_at(
+        orbit_terms(altitudes, inclinations, raans, args_latitude), t)
 
 
 def single_position_ecef(elements: OrbitalElements, t: float) -> np.ndarray:

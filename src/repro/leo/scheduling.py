@@ -26,17 +26,27 @@ cannot move:
   widest shell) with a 10-degree elevation margin and an epsilon of
   cosine slack, so the surviving set is a strict superset of the
   visible set.
-* Exact per-terminal geometry on the surviving subset with the *same*
-  vectorised kernels :meth:`Constellation.visible_from` uses: numpy
-  row-subset elementwise ops, ``@`` with a fixed unit vector and
-  ``norm(axis=1)`` produce bit-identical floats on a subset of rows.
-  (A broadcast (T, N) formulation would *not*: scalar BLAS dot/norm
-  round through FMA contractions that numpy's broadcast kernels
-  don't reproduce.) ``prefilter=False`` runs the full
-  ``visible_from`` pass instead, the reference the differential
-  suite compares against.
-* Per-satellite **gateway geometry memoised once per slot** and
-  shared by every terminal considering the same satellite.
+* One **visibility pass** over every row's surviving candidates,
+  with the kernels :meth:`Constellation.visible_from` uses. Elementwise
+  ops (subtract, divide, clip, arcsin, degrees) and length-3 row
+  ``norm(axis=1)`` give each element the same float whatever batch it
+  sits in, so all rows share them. ``los @ up`` stays one gemv per
+  row over that row's candidates, and each row sorts its own visible
+  set. (A broadcast (T, N) formulation would *not* be exact:
+  ``(los * los).sum(1)``, ``einsum`` and gemv round differently from a
+  scalar ``.dot`` in about a quarter of cases.) ``prefilter=False``
+  runs the full ``visible_from`` pass per row instead, the reference
+  the differential suite compares against.
+* One **gateway table** per slot (:func:`gateway_table`) over the
+  union of the rows' visible satellites, shared by every row. Its
+  stacked ``(..., 1, 3) @ (..., 3, 1)`` matmuls call the same BLAS
+  ``ddot`` as the scalar 1-D ``.dot`` that
+  :func:`~repro.leo.geometry.elevation_angle` and
+  :func:`~repro.leo.geometry.slant_range` take, so each pair's range
+  is the scalar one, bit for bit.
+* The slot's **served-terminal counts** live in the same LRU entry as
+  its snapshots, so :meth:`FleetScheduler.capacity_share` reads them
+  instead of rescanning the slot.
 
 Selection itself stays per terminal: the same descending-elevation
 candidate walk, the same ``candidate_pool`` cutoff, and the same
@@ -48,6 +58,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +66,7 @@ from repro.rng import make_rng, stable_seed
 from repro.errors import ConfigurationError
 from repro.leo.constellation import Constellation
 from repro.leo.geometry import (azimuth_in_frame, east_north_frame,
-                                elevation_and_range,
-                                elevation_angle, slant_range, unit_up)
+                                unit_up)
 from repro.leo.ground import GroundStation, UserTerminal
 from repro.units import SPEED_OF_LIGHT
 
@@ -94,45 +104,41 @@ def build_outage_index(windows: list[tuple[int, int, int]]
     return {slot: frozenset(out) for slot, out in accum.items()}
 
 
-def gateway_geometry(gw_ecef: np.ndarray, gw_ups: list[np.ndarray],
-                     sat_pos: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gateway ``(elevations_deg, ranges_m)`` of one satellite.
+def gateway_table(gw_ecef: np.ndarray, gw_ups: np.ndarray,
+                  sat_positions: np.ndarray,
+                  out: frozenset[int] = _NO_OUTAGES
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Closest in-service gateway of every satellite in one pass.
 
-    Deliberately evaluated with the scalar :func:`elevation_angle` /
-    :func:`slant_range` ops: these floats feed digest-pinned
-    :class:`PathSnapshot` fields, and the scalar BLAS kernels round
-    differently from their broadcast counterparts. The scheduler gets
-    its speedup by *memoizing* this function per (slot, satellite)
-    across terminals, not by re-deriving it vectorised.
+    ``gw_ecef`` and ``gw_ups`` are the (G, 3) gateway positions and
+    their :func:`~repro.leo.geometry.unit_up`; ``sat_positions`` is
+    (S, 3); ``out`` names gateway indices out of service. A gateway
+    is usable when the satellite stands at least
+    :data:`GATEWAY_MIN_ELEVATION_DEG` above its horizon; the usable
+    gateway at the shortest slant range wins, the lowest index on
+    equal ranges. Returns (S,) arrays: the gateway index (-1 where no
+    usable gateway sees the satellite) and its range, metres.
+
+    Every float is the one the scalar 1-D
+    :func:`~repro.leo.geometry.elevation_angle` and
+    :func:`~repro.leo.geometry.slant_range` give for that pair: a
+    stacked ``(..., 1, 3) @ (..., 3, 1)`` matmul calls the same BLAS
+    ``ddot`` per pair as ``los.dot(up)``, where broadcast sums,
+    ``einsum`` or one gemv round differently. The ranges feed
+    digest-pinned :class:`PathSnapshot` fields.
     """
-    n = len(gw_ecef)
-    elevations = np.empty(n)
-    ranges = np.empty(n)
-    for i in range(n):
-        elevations[i] = elevation_angle(gw_ecef[i], sat_pos,
-                                        up=gw_ups[i])
-        ranges[i] = slant_range(gw_ecef[i], sat_pos)
-    return elevations, ranges
-
-
-def select_gateway(elevations: np.ndarray, ranges: np.ndarray,
-                   out: frozenset[int] = _NO_OUTAGES
-                   ) -> tuple[int, float] | None:
-    """Closest in-service gateway given per-gateway geometry.
-
-    ``out`` names gateway indices out of service for the slot under
-    consideration. Returns ``(gateway_index, range_m)`` or ``None``
-    when no usable gateway sees the satellite.
-    """
-    usable = np.nonzero(elevations >= GATEWAY_MIN_ELEVATION_DEG)[0]
+    los = sat_positions[:, None, :] - gw_ecef        # (S, G, 3)
+    rows = los[..., None, :]                          # (S, G, 1, 3)
+    ranges = np.sqrt((rows @ los[..., None])[..., 0, 0])
+    sin_el = (rows @ gw_ups[:, :, None])[..., 0, 0] / ranges
+    usable = (np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+              >= GATEWAY_MIN_ELEVATION_DEG)
     if out:
-        usable = np.array([i for i in usable if int(i) not in out],
-                          dtype=int)
-    if usable.size == 0:
-        return None
-    best = int(usable[np.argmin(ranges[usable])])
-    return best, float(ranges[best])
+        usable[:, sorted(out)] = False
+    ranges = np.where(usable, ranges, np.inf)
+    best = ranges.argmin(axis=1)
+    return (np.where(usable.any(axis=1), best, -1),
+            ranges[np.arange(best.size), best])
 
 
 #: Change kinds a slot boundary can carry: the serving satellite, the
@@ -178,9 +184,30 @@ class PathSnapshot:
         return self.gateway.pop
 
 
+class _Slot(NamedTuple):
+    """One cached slot of a :class:`FleetScheduler`."""
+
+    #: Per row: its PathSnapshot, or the ConfigurationError the slot
+    #: raises for that row.
+    entries: list[PathSnapshot | ConfigurationError]
+    #: Served rows per satellite index.
+    counts: dict[int, int]
+
+
 def fleet_seeds(seed: int, n: int) -> list[int]:
     """Per-terminal scheduler seeds derived from a fleet seed."""
     return [stable_seed(seed, "fleet-terminal", i) for i in range(n)]
+
+
+def _gemv(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``rows @ vector`` through the gemv kernel of a many-row product.
+
+    numpy runs a one-row ``(1, 3) @ (3,)`` as a ddot, which rounds
+    differently from gemv, so a lone row is multiplied doubled.
+    """
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ vector)[:1]
+    return rows @ vector
 
 
 def _max_central_angle_deg(rg_m: float, rs_m: float,
@@ -257,32 +284,34 @@ class FleetScheduler:
         #: keeps 10,000: the default 151-day campaign pings 7,248
         #: distinct slots per anchor, walking them in order once per
         #: anchor, so a smaller LRU would miss on every lookup. A
-        #: fleet slot holds T snapshots, so a fleet keeps 4,096.
+        #: fleet slot holds T snapshots, so a fleet keeps 4,096. At
+        #: least 1: a query reads the slot it has just cached.
         self.slot_cache_slots = 10_000 if n == 1 else 4096
-        # Exact per-row ground state, 1-D ecef vectors and their unit
-        # ups. A trajectory places its row at its t=0 position, which
-        # a stationary one never leaves; a moving row's entry is
+        # Exact per-row ground state: (T, 3) ecef positions and their
+        # unit ups, row-major so each row is a contiguous vector. A
+        # trajectory places its row at its t=0 position, which a
+        # stationary one never leaves; a moving row's entry is
         # replaced per slot.
-        self._ut_ecef = [
+        self._ut_ecef = np.array([
             ut.ecef() if trajectory is None
             else trajectory.position_at(0.0).to_ecef()
-            for ut, trajectory in zip(self.terminals, self.trajectories)]
-        self._ut_ups = [unit_up(g) for g in self._ut_ecef]
+            for ut, trajectory in zip(self.terminals, self.trajectories)])
+        self._ut_ups = np.array([unit_up(g) for g in self._ut_ecef])
         self._gw_ecef = np.array([gw.ecef() for gw in self.gateways])
-        self._gw_ups = [unit_up(gw) for gw in self._gw_ecef]
-        # Prefilter state: unit directions as a (T, 3) matrix and the
-        # per-terminal cosine thresholds (approximate math is fine
-        # here; the threshold only has to be conservative). Row-major
-        # so each terminal's keep row comes out contiguous.
-        self._ut_units = np.ascontiguousarray(np.stack(self._ut_ups))
+        self._gw_ups = np.array([unit_up(gw) for gw in self._gw_ecef])
+        # Prefilter state: inverse orbit radii and the per-terminal
+        # cosine thresholds (approximate math is fine here; the
+        # threshold only has to be conservative).
         self._inv_radii = 1.0 / self.constellation.orbit_radii()
         self._max_radius = float(self.constellation.orbit_radii().max())
         self._cos_thresh: np.ndarray | None = None
         self._thresh_min_el: float | None = None
-        #: slot -> per-terminal entries (PathSnapshot, or the
-        #: ConfigurationError that slot raises for that terminal).
-        self._slot_cache: OrderedDict[
-            int, list[PathSnapshot | ConfigurationError]] = OrderedDict()
+        #: slot -> that slot's entries and served-terminal counts.
+        self._slot_cache: OrderedDict[int, _Slot] = OrderedDict()
+        #: Slot-cache effectiveness counters, like the constellation's
+        #: position-cache counters; observability only.
+        self.slot_cache_hits = 0
+        self.slot_cache_misses = 0
         #: Injected satellite outages: (sat_index, start_slot, end_slot).
         self._outages: list[tuple[int, int, int]] = []
         #: Injected gateway outages: (gw_index, start_slot, end_slot).
@@ -353,8 +382,11 @@ class FleetScheduler:
 
     def _bump(self, start_slot: int, end_slot: int) -> None:
         self.version += 1
-        for slot in range(start_slot, end_slot):
-            self._slot_cache.pop(slot, None)
+        # Walk the cache, not the window: a window may span more
+        # slots than a campaign ever caches.
+        for slot in [slot for slot in self._slot_cache
+                     if start_slot <= slot < end_slot]:
+            del self._slot_cache[slot]
 
     def _refresh_outage_index(self) -> None:
         if self._index_version == self.version:
@@ -392,7 +424,7 @@ class FleetScheduler:
         snapshot so a drive-through outage costs one geometry scan
         per slot, not one per packet.
         """
-        entry = self._slot_entries(self.slot_of(t))[index]
+        entry = self._slot(self.slot_of(t)).entries[index]
         if isinstance(entry, ConfigurationError):
             raise entry
         return entry
@@ -400,16 +432,12 @@ class FleetScheduler:
     def snapshots(self, t: float) -> list[PathSnapshot | None]:
         """All terminals' paths at ``t``; ``None`` where unservable."""
         return [entry if isinstance(entry, PathSnapshot) else None
-                for entry in self._slot_entries(self.slot_of(t))]
+                for entry in self._slot(self.slot_of(t)).entries]
 
     def user_counts(self, t: float) -> dict[int, int]:
-        """Served terminals per satellite index during ``t``'s slot."""
-        counts: dict[int, int] = {}
-        for entry in self._slot_entries(self.slot_of(t)):
-            if isinstance(entry, PathSnapshot):
-                counts[entry.sat_index] = \
-                    counts.get(entry.sat_index, 0) + 1
-        return counts
+        """Served terminals per satellite index during ``t``'s slot
+        (a copy: the slot cache keeps its own)."""
+        return dict(self._slot(self.slot_of(t)).counts)
 
     def capacity_share(self, index: int, t: float) -> float:
         """Terminal ``index``'s fair share of its serving satellite.
@@ -419,28 +447,30 @@ class FleetScheduler:
         :class:`repro.leo.access.StarlinkAccess`'s ``capacity_share``.
         """
         snap = self.snapshot_at(index, t)
-        return 1.0 / self.user_counts(t)[snap.sat_index]
+        # snapshot_at has just cached this slot, counts included.
+        counts = self._slot_cache[self.slot_of(t)].counts
+        return 1.0 / counts[snap.sat_index]
 
     # -- the batched slot computation ---------------------------------
 
-    def _slot_entries(self, slot: int
-                      ) -> list[PathSnapshot | ConfigurationError]:
-        entries = self._slot_cache.get(slot)
-        if entries is None:
-            entries = self._compute_slot(slot)
-            self._slot_cache[slot] = entries
-            while len(self._slot_cache) > self.slot_cache_slots:
-                self._slot_cache.popitem(last=False)
-        else:
+    def _slot(self, slot: int) -> _Slot:
+        cached = self._slot_cache.get(slot)
+        if cached is not None:
             self._slot_cache.move_to_end(slot)
-        return entries
+            self.slot_cache_hits += 1
+            return cached
+        self.slot_cache_misses += 1
+        cached = self._slot_cache[slot] = self._compute_slot(slot)
+        while len(self._slot_cache) > self.slot_cache_slots:
+            self._slot_cache.popitem(last=False)
+        return cached
 
-    def _rows_at(self, slot: int
-                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-row ``(ecef, unit_up)`` lists in force during ``slot``."""
+    def _rows_at(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """(T, 3) ground positions and unit ups in force during
+        ``slot``."""
         if not self.moving_rows:
             return self._ut_ecef, self._ut_ups
-        grounds, ups = list(self._ut_ecef), list(self._ut_ups)
+        grounds, ups = self._ut_ecef.copy(), self._ut_ups.copy()
         t = slot * SLOT_DURATION
         for i in self.moving_rows:
             grounds[i] = self.trajectories[i].position_at(t).to_ecef()
@@ -467,28 +497,25 @@ class FleetScheduler:
             self._thresh_min_el = min_el
         return self._cos_thresh
 
-    def _prefilter(self, positions: np.ndarray,
-                   grounds: list[np.ndarray], ups: list[np.ndarray],
-                   min_el: float) -> np.ndarray:
+    def _prefilter(self, positions: np.ndarray, grounds: np.ndarray,
+                   ups: np.ndarray, min_el: float) -> np.ndarray:
         """(T, N) mask of the satellites each row's exact pass sees.
 
         One (T, 3) x (3, N) pass bounds every satellite-terminal
-        central angle; moving rows swap in this slot's position.
+        central angle; moving rows use this slot's position.
         """
-        units, thresh = self._ut_units, self._thresholds(min_el)
+        thresh = self._thresholds(min_el)
         if self.moving_rows:
-            units, thresh = units.copy(), thresh.copy()
+            thresh = thresh.copy()
             for i in self.moving_rows:
-                units[i] = ups[i]
                 thresh[i] = self._cos_threshold(grounds[i], min_el)
         sat_units = positions * self._inv_radii[:, None]
-        keep = units @ sat_units.T >= thresh[:, None]
+        keep = ups @ sat_units.T >= thresh[:, None]
         self.prefilter_kept += int(np.count_nonzero(keep))
         self.prefilter_total += keep.size
         return keep
 
-    def _compute_slot(self, slot: int
-                      ) -> list[PathSnapshot | ConfigurationError]:
+    def _compute_slot(self, slot: int) -> _Slot:
         t = slot * SLOT_DURATION
         masks = [obstruction.mask_at(slot) if obstruction is not None
                  else None for obstruction in self.obstructions]
@@ -498,86 +525,117 @@ class FleetScheduler:
                 "(overpass/tunnel slot)")
             if mask is not None and mask.full_sky else None
             for ut, mask in zip(self.terminals, masks)]
-        if None not in entries:
-            # Every sky is blocked (an overpass over a lone dish):
-            # nothing to propagate.
-            return entries
-        positions = self.constellation.positions(t)
-        min_el = self.constellation.min_elevation_deg
-        grounds, ups = self._rows_at(slot)
-        keep = (self._prefilter(positions, grounds, ups, min_el)
-                if self.prefilter else None)
-        out_sats = (self.out_sats_at(slot) if self._outages
-                    else _NO_OUTAGES)
-        out_gws = (self.out_gateways_at(slot)
-                   if self._gateway_outages else _NO_OUTAGES)
-        # Best-gateway choice per satellite, shared across terminals,
-        # paid once per distinct satellite actually walked. The
-        # memoised value is the full selection, valid slot-wide
-        # because the gateway outage set is fixed within a slot, and
-        # for moving rows too: gateway geometry relates satellites to
-        # gateways, never to terminal positions.
-        gw_memo: dict[int, tuple[int, float] | None] = {}
-        for i, entry in enumerate(entries):
-            if entry is None:
-                entries[i] = self._terminal_slot(
-                    i, slot, t, positions, min_el, grounds[i], ups[i],
-                    masks[i], keep[i] if keep is not None else None,
-                    out_sats, out_gws, gw_memo)
-        return entries
+        live = [i for i, entry in enumerate(entries) if entry is None]
+        # When every sky is blocked (an overpass over a lone dish)
+        # there is nothing to propagate.
+        if live:
+            positions = self.constellation.positions(t)
+            min_el = self.constellation.min_elevation_deg
+            grounds, ups = self._rows_at(slot)
+            keep = (self._prefilter(positions, grounds, ups, min_el)
+                    if self.prefilter else None)
+            out_sats = (self.out_sats_at(slot) if self._outages
+                        else _NO_OUTAGES)
+            rows, seen = self._visible(live, positions, grounds, ups,
+                                       keep, t, min_el)
+            # Each visible satellite's gateway choice, shared by every
+            # row: gateway geometry relates satellites to gateways,
+            # never to terminal positions, and the gateway outage set
+            # is fixed within a slot.
+            union = np.zeros(len(positions), dtype=bool)
+            union[seen] = True
+            sats = np.flatnonzero(union)
+            best, ranges = gateway_table(
+                self._gw_ecef, self._gw_ups, positions[sats],
+                self.out_gateways_at(slot) if self._gateway_outages
+                else _NO_OUTAGES)
+            gateways = {sat: (gw, rng) if gw >= 0 else None
+                        for sat, gw, rng in zip(sats.tolist(),
+                                                best.tolist(),
+                                                ranges.tolist())}
+            for i, row in zip(live, rows):
+                entries[i] = self._select(
+                    i, slot, t, positions, grounds[i], ups[i], masks[i],
+                    row, out_sats, gateways)
+        counts: dict[int, int] = {}
+        for entry in entries:
+            if isinstance(entry, PathSnapshot):
+                counts[entry.sat_index] = \
+                    counts.get(entry.sat_index, 0) + 1
+        return _Slot(entries, counts)
 
-    def _terminal_slot(self, i, slot, t, positions, min_el, ground, up,
-                       mask, keep_mask, out_sats, out_gws, gw_memo
-                       ) -> PathSnapshot | ConfigurationError:
-        if keep_mask is None:
-            indices, elevations, ranges = \
-                self.constellation.visible_from(ground, t, up=up)
-        else:
-            cand = np.nonzero(keep_mask)[0]
-            # Row-subset computation with the exact kernels the full
-            # visible_from pass uses: bit-identical on the subset.
-            elev, rng_m = elevation_and_range(ground, positions[cand],
-                                              up)
-            visible = elev >= min_el
-            indices = cand[visible]
-            if indices.size:
-                elevations = elev[visible]
-                ranges = rng_m[visible]
-                order = np.argsort(-elevations)
-                indices = indices[order]
-                elevations = elevations[order]
-                ranges = ranges[order]
-            else:
-                elevations = ranges = np.array([])
-        if indices.size == 0:
+    def _visible(self, live: list[int], positions: np.ndarray,
+                 grounds: np.ndarray, ups: np.ndarray,
+                 keep: np.ndarray | None, t: float, min_el: float
+                 ) -> tuple[list[tuple[list, list, list]], np.ndarray]:
+        """Every live row's visible satellites in one pass.
+
+        Returns, per row of ``live``, ``(sats, elevations_deg,
+        ranges_m)`` lists by descending elevation, and the indices of
+        all of them, repeats included. Without a prefilter each row
+        runs the full :meth:`Constellation.visible_from` scan, the
+        reference the differential suite compares against.
+        """
+        if keep is None:
+            found = [self.constellation.visible_from(grounds[i], t,
+                                                     up=ups[i])
+                     for i in live]
+            return ([tuple(column.tolist() for column in row)
+                     for row in found],
+                    np.concatenate([row[0] for row in found]))
+        # All rows' kept candidates as one flat batch, row by row in
+        # satellite order; ``cuts`` delimits the rows.
+        n_sats = keep.shape[1]
+        flat = np.flatnonzero(keep[live])
+        row_of, cand = np.divmod(flat, n_sats)
+        cuts = np.searchsorted(flat, np.arange(len(live) + 1) * n_sats)
+        los = positions[cand] - grounds[live][row_of]
+        ranges = np.linalg.norm(los, axis=1)
+        # Elementwise ops and length-3 row norms give each element
+        # the same float whatever the batch around it. ``los @ up``
+        # stays one gemv per row over the row's own candidates, as
+        # the full pass runs it: the rows' up vectors differ, and no
+        # broadcast form rounds like gemv.
+        bounds = list(zip(cuts.tolist(), cuts[1:].tolist()))
+        dots = np.concatenate([_gemv(los[a:b], ups[i])
+                               for i, (a, b) in zip(live, bounds)])
+        elevations = np.degrees(
+            np.arcsin(np.clip(dots / ranges, -1.0, 1.0)))
+        seen = np.flatnonzero(elevations >= min_el)
+        cuts = np.searchsorted(seen, cuts).tolist()
+        # Each row sorts its own visible set, as a one-row pass does.
+        shown = elevations[seen]
+        order = seen[np.concatenate([
+            a + np.argsort(-shown[a:b])
+            for a, b in zip(cuts, cuts[1:])])]
+        sats = cand[order].tolist()
+        elevs = elevations[order].tolist()
+        rngs = ranges[order].tolist()
+        return ([(sats[a:b], elevs[a:b], rngs[a:b])
+                 for a, b in zip(cuts, cuts[1:])], cand[seen])
+
+    def _select(self, i, slot, t, positions, ground, up, mask, row,
+                out_sats, gateways) -> PathSnapshot | ConfigurationError:
+        """Row ``i``'s snapshot from its visible ``row`` triple."""
+        sats, elevations, ranges = row
+        if not sats:
             return ConfigurationError(
                 f"no satellite visible from {self.terminals[i].name} "
                 f"at t={t}; constellation too sparse for this latitude")
         # The azimuth frame depends on this row's position only.
         frame = east_north_frame(ground, up) if mask is not None else None
         candidates = []
-        for sat, elev_deg, rng_m in zip(indices.tolist(),
-                                        elevations.tolist(),
-                                        ranges.tolist()):
+        for sat, elev_deg, rng_m in zip(sats, elevations, ranges):
             if sat in out_sats:
                 continue
             if mask is not None and mask.blocks(
                     azimuth_in_frame(ground, positions[sat], *frame),
                     elev_deg):
                 continue
-            if sat in gw_memo:
-                gw_choice = gw_memo[sat]
-            else:
-                gw_choice = select_gateway(
-                    *gateway_geometry(self._gw_ecef, self._gw_ups,
-                                      positions[sat]),
-                    out_gws)
-                gw_memo[sat] = gw_choice
-            if gw_choice is None:
+            gateway = gateways[sat]
+            if gateway is None:
                 continue
-            gw_pos_idx, gw_range = gw_choice
-            candidates.append((sat, float(elev_deg), float(rng_m),
-                               gw_pos_idx, gw_range))
+            candidates.append((sat, elev_deg, rng_m, *gateway))
             if len(candidates) >= self.candidate_pool:
                 break
         if not candidates:

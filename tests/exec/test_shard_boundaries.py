@@ -9,9 +9,12 @@ and check stream continuity: ``run_atoms(a, b) + run_atoms(b, c)``
 must equal ``run_atoms(a, c)`` for every cut point.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.exec.units as units_mod
+from repro.core.anchors import Anchor
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.rng import make_rng, stable_seed
 from repro.testing.digest import digest_value
@@ -129,6 +132,26 @@ def test_ping_chunk_stream_is_independent_of_call_order():
                     ).random() \
         != make_rng((3, "ping-campaign", unit.anchor_name, "chunk", 2)
                     ).random()
+
+
+def test_ping_chunk_computes_each_pop_remote_rtt_once(monkeypatch):
+    """A chunk keeps each PoP's fibre RTT to its anchor for the rest
+    of the chunk: one great-circle computation per PoP, not per
+    round."""
+    config = replace(small_config(seed=5), ping_shard_rounds=12)
+    unit = Campaign(config).ping_units()[0]
+    pops = []
+    real = Anchor.remote_rtt_from
+
+    def spy(anchor, pop):
+        pops.append(pop)
+        return real(anchor, pop)
+
+    monkeypatch.setattr(Anchor, "remote_rtt_from", spy)
+    (payload,) = unit.run_atoms(0, 1)
+    assert unit.n_atoms() == 1
+    assert pops and len(pops) == len(set(pops))
+    assert len(payload[0]) == 12 * config.pings_per_round
 
 
 # -- stream continuity across every cut point --------------------------------

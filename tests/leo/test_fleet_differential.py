@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.leo.constellation import Constellation
+from repro.leo.constellation import Constellation, WalkerShell
 from repro.leo.fleet import (
     FleetScheduler,
     FleetSpec,
@@ -177,6 +177,24 @@ def test_fleet_matches_scalar_real_gateways():
     for slot in range(40):
         t = slot * SLOT_DURATION
         assert scalar.snapshot(t) == reference.snapshot_at(0, t)
+
+
+def test_fleet_matches_reference_on_a_sparse_shell():
+    """On a 96-satellite shell a row's prefilter often keeps a single
+    satellite. numpy runs a one-row product as a ddot, which rounds
+    differently from the gemv of the full pass; the row must still get
+    the reference's floats."""
+    def sparse():
+        return Constellation(shells=[WalkerShell(
+            planes=12, sats_per_plane=8, phasing=5)])
+
+    uts = build_fleet_terminals(FleetSpec(terminals=8, seed=2))
+    fleet = FleetScheduler(sparse(), uts, STARLINK_GATEWAYS, seed=2)
+    references = [
+        FleetScheduler(sparse(), [ut], STARLINK_GATEWAYS,
+                       seeds=[fleet.seeds[i]], prefilter=False)
+        for i, ut in enumerate(uts)]
+    _compare(fleet, references, slots=range(0, 60))
 
 
 def test_prefilter_is_a_superset_of_visibility():

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.leo.constellation import Constellation
 from repro.leo.geometry import (
     GeoPoint,
     ecef,
+    elevation_and_range,
     elevation_angle,
     fiber_path_delay,
     great_circle_distance,
     propagation_delay,
     slant_range,
+    unit_up,
 )
 from repro.units import EARTH_RADIUS, SPEED_OF_LIGHT, km
 
@@ -140,14 +143,48 @@ def test_elevation_and_range_matches_separate_calls():
     assert np.array_equal(rng, slant_range(ground, sats))
 
 
-def test_scalar_ops_match_row_subsets_bitwise():
-    """Scalar calls equal the vectorised rows, bit for bit -- the
-    invariant the fleet scheduler's bit-identity rests on."""
-    ground = ecef(50.668, 4.611)
-    sats = np.array([ecef(50.0 + d, 4.0 + 2 * d, km(540 + 5 * d))
-                     for d in range(8)])
-    vec_elev = elevation_angle(ground, sats)
-    vec_rng = slant_range(ground, sats)
-    for i in range(len(sats)):
-        assert elevation_angle(ground, sats[i]) == vec_elev[i]
-        assert slant_range(ground, sats[i]) == vec_rng[i]
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(0.0, 1.3e7), lat=st.floats(-60.0, 60.0),
+       lon=st.floats(-180.0, 180.0),
+       picks=st.lists(st.integers(0, 1583), min_size=2, max_size=60))
+def test_vectorised_kernels_on_row_subsets_match_full_pass(t, lat, lon,
+                                                           picks):
+    """A vectorised kernel run on a subset of rows gives exactly the
+    floats of those rows of the full pass -- the invariant that lets
+    the scheduler run its exact geometry on prefilter-kept rows only,
+    and share one elementwise pass between terminals. At least two
+    rows: numpy runs a one-row ``(1, 3) @ (3,)`` as a ddot, not a
+    gemv, and the two round differently."""
+    ground = ecef(lat, lon)
+    up = unit_up(ground)
+    sats = Constellation().positions(t)
+    rows = np.array(picks)
+    full_elev, full_rng = elevation_and_range(ground, sats, up)
+    elev, rng = elevation_and_range(ground, sats[rows], up)
+    assert np.array_equal(elev, full_elev[rows])
+    assert np.array_equal(rng, full_rng[rows])
+    assert np.array_equal(elevation_angle(ground, sats[rows], up=up),
+                          elevation_angle(ground, sats, up=up)[rows])
+    assert np.array_equal(slant_range(ground, sats[rows]),
+                          slant_range(ground, sats)[rows])
+
+
+_COMPONENT = st.floats(-1e7, 1e7, allow_nan=False, allow_infinity=False)
+_VECTORS = st.lists(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+                    min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_VECTORS, b=_VECTORS)
+def test_stacked_matmul_equals_scalar_dot_bitwise(a, b):
+    """``(..., 1, 3) @ (..., 3, 1)`` runs one BLAS ddot per pair, the
+    kernel a scalar 1-D ``.dot`` runs, so the two agree bit for bit;
+    the gateway table relies on it. (Broadcast ``(a * b).sum(1)``,
+    ``einsum`` and gemv round differently in about a quarter of
+    cases, so none of them may stand in for ``.dot``.)"""
+    n = min(len(a), len(b))
+    a, b = np.array(a[:n]), np.array(b[:n])
+    stacked = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    scalar = [a[i].dot(b[i]) for i in range(n)]
+    assert [x.hex() for x in stacked.tolist()] == \
+        [float(x).hex() for x in scalar]

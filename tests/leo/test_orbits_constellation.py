@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.leo.constellation import Constellation, WalkerShell
@@ -111,3 +112,18 @@ def test_range_to_single_satellite():
     indices, _, ranges = constellation.visible_from(ut, 0.0)
     assert constellation.range_to(ut, int(indices[0]), 0.0) == \
         pytest.approx(float(ranges[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(-1e6, 1.4e7, allow_nan=False, allow_infinity=False))
+def test_positions_match_propagate_ecef_bitwise(t):
+    """The orbit terms a constellation computes once at construction
+    give exactly the positions a per-call propagation does, shell
+    boundaries included."""
+    shells = [WalkerShell(),
+              WalkerShell(altitude_m=km(570), inclination_deg=70.0,
+                          planes=36, sats_per_plane=20, phasing=11)]
+    elements = [np.concatenate(column) for column in
+                zip(*(shell.element_arrays() for shell in shells))]
+    assert np.array_equal(Constellation(shells=shells).positions(t),
+                          propagate_ecef(*elements, t))
