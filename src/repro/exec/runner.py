@@ -59,7 +59,6 @@ import time
 import traceback
 import tracemalloc
 from concurrent import futures as _cf
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -345,6 +344,9 @@ class _Supervisor:
     def _backend(self):
         options = self.options
         if options.workers > 1 or options.unit_timeout is not None:
+            # Imported here: it loads multiprocessing, which an
+            # in-process run never needs.
+            from concurrent.futures import ProcessPoolExecutor
             return ProcessPoolExecutor(max_workers=self.workers)
         return _InProcess()
 

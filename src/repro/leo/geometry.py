@@ -128,7 +128,13 @@ def east_north_frame(ground: np.ndarray, up: np.ndarray | None = None
         east = np.array([0.0, 1.0, 0.0])
         east_norm = 1.0
     east = east / east_norm
-    return east, np.cross(up, east)
+    # north = up x east. np.cross also rounds each product and each
+    # difference once, so these floats are its bytes, at a tenth of
+    # its cost on two 3-vectors.
+    u0, u1, u2 = up.tolist()
+    e0, e1, e2 = east.tolist()
+    return east, np.array([u1 * e2 - u2 * e1, u2 * e0 - u0 * e2,
+                           u0 * e1 - u1 * e0])
 
 
 def azimuth_in_frame(ground: np.ndarray, sat: np.ndarray,

@@ -8,22 +8,24 @@ The paper anticipates ISL activation "by the end of 2022".
 This module implements that future: a +grid ISL topology (each
 satellite links to its in-plane neighbours and the nearest satellites
 of adjacent planes), shortest-delay routing over the constellation
-with networkx, and an RTT estimator for dish -> sky path -> remote
-ground station. Comparing it against the bent-pipe model reproduces
-the Hypatia-style prediction the paper cites: long-haul RTTs drop
-substantially once packets route through the sky.
+with the simulator's own Dijkstra
+(:func:`repro.netsim.routing.shortest_paths`), and an RTT estimator
+for dish -> sky path -> remote ground station. Comparing it against
+the bent-pipe model reproduces the Hypatia-style prediction the paper
+cites: long-haul RTTs drop substantially once packets route through
+the sky.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import RoutingError
-from repro.leo.constellation import Constellation, WalkerShell
+from repro.leo.constellation import Constellation
 from repro.leo.geometry import GeoPoint, elevation_angle, slant_range
+from repro.netsim.routing import Adjacency, add_edge, shortest_paths
 from repro.units import SPEED_OF_LIGHT, ms
 
 #: Minimum elevation for the ground <-> satellite legs.
@@ -75,19 +77,17 @@ class IslRouter:
                  for d in (-1, 1)]
         return in_plane + cross
 
-    def graph_at(self, t: float) -> nx.Graph:
-        """ISL graph with distance-weighted edges at time ``t``."""
+    def graph_at(self, t: float) -> Adjacency:
+        """ISL adjacency ``{sat: {neighbour: metres}}`` at time ``t``."""
         positions = self.constellation.positions(t)
-        graph = nx.Graph()
         n = self.constellation.size
-        graph.add_nodes_from(range(n))
+        graph: Adjacency = {index: {} for index in range(n)}
         for index in range(n):
             for neighbor in self._neighbors(index):
                 if neighbor <= index:
                     continue
-                weight = float(np.linalg.norm(
-                    positions[index] - positions[neighbor]))
-                graph.add_edge(index, neighbor, weight=weight)
+                add_edge(graph, index, neighbor, float(np.linalg.norm(
+                    positions[index] - positions[neighbor])))
         return graph
 
     def _visible(self, ground: GeoPoint, t: float) -> tuple:
@@ -113,17 +113,18 @@ class IslRouter:
         src_vis, src_ranges = self._visible(src, t)
         dst_vis, dst_ranges = self._visible(dst, t)
         for idx, rng_m in zip(src_vis, src_ranges):
-            graph.add_edge("src", int(idx), weight=float(rng_m))
+            add_edge(graph, "src", int(idx), float(rng_m))
         for idx, rng_m in zip(dst_vis, dst_ranges):
-            graph.add_edge("dst", int(idx), weight=float(rng_m))
-        try:
-            route = nx.shortest_path(graph, "src", "dst",
-                                     weight="weight")
-        except nx.NetworkXNoPath as exc:  # pragma: no cover
-            raise RoutingError("ISL grid is disconnected") from exc
+            add_edge(graph, "dst", int(idx), float(rng_m))
+        _, pred = shortest_paths(graph, "src", target="dst")
+        if "dst" not in pred:  # pragma: no cover
+            raise RoutingError("ISL grid is disconnected")
+        route = ["dst"]
+        while route[-1] != "src":
+            route.append(pred[route[-1]])
+        route.reverse()
         hops = [n for n in route if isinstance(n, int)]
-        distance = sum(graph[a][b]["weight"]
-                       for a, b in zip(route, route[1:]))
+        distance = sum(graph[a][b] for a, b in zip(route, route[1:]))
         return IslPath(satellite_hops=tuple(hops),
                        distance_m=float(distance))
 

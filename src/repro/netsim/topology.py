@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RoutingError
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.loss import LossModel
-from repro.netsim.node import Host, NatBox, Node, Router, Shaper
+from repro.netsim.node import (DEFAULT_ROUTE, Host, NatBox, Node, Router,
+                               Shaper)
 from repro.netsim.queues import DropTailQueue
-from repro.netsim.routing import install_shortest_path_routes, path_between
+from repro.netsim.routing import install_shortest_path_routes
 
 
 class Network:
@@ -121,8 +122,18 @@ class Network:
         raise ConfigurationError(f"no link between {a!r} and {b!r}")
 
     def route_names(self, src: str, dst: str) -> list[str]:
-        """Node names along the path from ``src`` to ``dst``."""
-        return path_between(list(self.nodes.values()), self._edges, src, dst)
+        """Node names a packet from ``src`` to ``dst`` is forwarded
+        through, endpoints included: the installed next hops."""
+        address = self.nodes[dst].address
+        path = [src]
+        while path[-1] != dst:
+            routes = self.nodes[path[-1]].routes
+            via = routes.get(address) or routes.get(DEFAULT_ROUTE)
+            if via is None or len(path) > len(self.nodes):
+                raise RoutingError(
+                    f"no route from {src} to {dst} at {path[-1]}")
+            path.append(via)
+        return path
 
     def run(self, until: float | None = None) -> None:
         """Convenience passthrough to the simulator."""

@@ -22,58 +22,8 @@ Three layers, each usable on its own:
 
 :mod:`repro.testing.digest` holds the canonical trace/dataset
 fingerprints the replay checks compare.
+
+The package re-exports nothing: import each layer from its module, so
+that loading one (the journal needs only ``digest``) leaves the others
+unloaded.
 """
-
-from repro.errors import InvariantViolation
-from repro.testing.chaos import (
-    ChaosInjection,
-    ChaosSpec,
-    ChaosUnit,
-    attempts_made,
-    claim_attempt,
-    seeded_chaos,
-    wrap_units,
-)
-from repro.testing.digest import digest_dataset, digest_records, digest_value
-from repro.testing.faults import FaultPlan
-from repro.testing.invariants import (
-    InvariantChecker,
-    check_invariants,
-    global_checking,
-    install_global_checks,
-    uninstall_global_checks,
-)
-from repro.testing.scenarios import (
-    Scenario,
-    build_network,
-    random_scenario,
-    replay_digests,
-    run_and_digest,
-    shrink,
-)
-
-__all__ = [
-    "ChaosInjection",
-    "ChaosSpec",
-    "ChaosUnit",
-    "FaultPlan",
-    "InvariantChecker",
-    "attempts_made",
-    "claim_attempt",
-    "seeded_chaos",
-    "wrap_units",
-    "InvariantViolation",
-    "Scenario",
-    "build_network",
-    "check_invariants",
-    "digest_dataset",
-    "digest_records",
-    "digest_value",
-    "global_checking",
-    "install_global_checks",
-    "random_scenario",
-    "replay_digests",
-    "run_and_digest",
-    "shrink",
-    "uninstall_global_checks",
-]

@@ -110,6 +110,29 @@ def test_campaign_and_cli_import_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_campaign_cli_and_journal_digest_import_lean():
+    """A serial run loads no routing library, no process pool and no
+    test harness: importing the campaign, the CLI and the journal's
+    digest leaves networkx, multiprocessing and the chaos, fault,
+    invariant and scenario modules unloaded."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    code = ("import sys, repro.core.campaign, repro.cli, "
+            "repro.testing.digest; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('networkx', 'multiprocessing', 'concurrent.futures.process', "
+            "'repro.testing.chaos', 'repro.testing.faults', "
+            "'repro.testing.invariants', 'repro.testing.scenarios'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_time_binned_percentiles():
     times = np.arange(0, 100, 1.0)
     values = times * 2.0

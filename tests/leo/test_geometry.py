@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.leo.constellation import Constellation
 from repro.leo.geometry import (
     GeoPoint,
+    east_north_frame,
     ecef,
     elevation_and_range,
     elevation_angle,
@@ -188,3 +189,26 @@ def test_stacked_matmul_equals_scalar_dot_bitwise(a, b):
     scalar = [a[i].dot(b[i]) for i in range(n)]
     assert [x.hex() for x in stacked.tolist()] == \
         [float(x).hex() for x in scalar]
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_UP_COMPONENT = st.floats(-1.0, 1.0) | _SIGNED_ZERO
+_POLE = st.tuples(_SIGNED_ZERO, _SIGNED_ZERO, st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(up=_POLE | st.tuples(_UP_COMPONENT, _UP_COMPONENT,
+                            _UP_COMPONENT).filter(any),
+       lat=st.floats(-90.0, 90.0) | st.sampled_from([90.0, -90.0]),
+       lon=st.floats(-180.0, 180.0))
+def test_east_north_frame_north_is_np_cross_bitwise(up, lat, lon):
+    """north = up x east is written out in Python floats; it must be
+    ``np.cross``'s bytes, signed zeros and poles included, for a given
+    up-vector and for one derived from a ground point."""
+    up = np.array(up)
+    east, north = east_north_frame(up * EARTH_RADIUS, up)
+    assert north.tobytes() == np.cross(up, east).tobytes()
+    ground = ecef(lat, lon)
+    east, north = east_north_frame(ground)
+    derived_up = ground / np.linalg.norm(ground)
+    assert north.tobytes() == np.cross(derived_up, east).tobytes()

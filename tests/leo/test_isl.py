@@ -1,10 +1,13 @@
 """Tests for the ISL-routing extension (the paper's future work)."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.leo.constellation import Constellation, WalkerShell
 from repro.leo.geometry import GeoPoint
-from repro.leo.isl import IslRouter, bent_pipe_vs_isl
+from repro.leo.isl import IslPath, IslRouter, bent_pipe_vs_isl
 from repro.units import to_ms
 
 BELGIUM = GeoPoint(50.67, 4.61)
@@ -25,13 +28,42 @@ def test_grid_neighbours_are_four(router):
         assert index not in neighbors
 
 
+def oracle_graph(adjacency):
+    """A networkx copy of a router adjacency, for the oracle."""
+    graph = nx.Graph()
+    graph.add_nodes_from(adjacency)
+    graph.add_weighted_edges_from((a, b, weight)
+                                  for a, nbrs in adjacency.items()
+                                  for b, weight in nbrs.items())
+    return graph
+
+
 def test_graph_is_connected(router):
-    graph = router.graph_at(0.0)
+    graph = oracle_graph(router.graph_at(0.0))
     assert graph.number_of_nodes() == 1584
     # +grid: 2 undirected edges per satellite.
     assert graph.number_of_edges() == 2 * 1584
-    import networkx as nx
     assert nx.is_connected(graph)
+
+
+def test_paths_match_networkx_shortest_path(router):
+    """The router's Dijkstra names networkx's route, hop for hop and
+    metre for metre, on the same graph at seeded (src, dst, t)."""
+    rng = random.Random(2022)
+    for _ in range(40):
+        src, dst = (GeoPoint(rng.uniform(-50.0, 50.0),
+                             rng.uniform(-180.0, 180.0)) for _ in range(2))
+        t = rng.uniform(0.0, 6_000.0)
+        graph = oracle_graph(router.graph_at(t))
+        for name, ground in (("src", src), ("dst", dst)):
+            for idx, rng_m in zip(*router._visible(ground, t)):
+                graph.add_edge(name, int(idx), weight=float(rng_m))
+        route = nx.shortest_path(graph, "src", "dst", weight="weight")
+        expected = IslPath(
+            satellite_hops=tuple(route[1:-1]),
+            distance_m=float(sum(graph[a][b]["weight"]
+                                 for a, b in zip(route, route[1:]))))
+        assert router.path(src, dst, t) == expected
 
 
 def test_nearby_destination_uses_few_hops(router):
